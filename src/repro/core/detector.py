@@ -25,7 +25,6 @@ from .. import obs
 from ..machine.simulator import ExecutionResult
 from ..trace.build import Trace, build_trace
 from .hb1 import HappensBefore1
-from .hb1_vc import CyclicHB1Error, VectorClockHB1
 from .partitions import partition_races
 from .races import find_races
 from .report import RaceReport
@@ -37,23 +36,12 @@ class PostMortemDetector:
     def analyze(self, trace: Trace) -> RaceReport:
         """Run the full pipeline on a post-mortem trace.
 
-        Ordering queries go through the vector-clock backend (batched
-        clock-matrix race sweep, no transitive closure built at all) and
-        fall back to the closure backend only on cyclic hb1 relations —
-        possible on arbitrary weak machines (§3.1), never produced by
-        our simulator.
+        Races come from the vector-clock race kernel, on cyclic hb1
+        relations (§3.1) too; the hb1 transitive closure is never built.
         """
         with obs.span("detect.postmortem"):
             hb = HappensBefore1(trace)
-            try:
-                ordering = VectorClockHB1(trace, base=hb)
-            except CyclicHB1Error:
-                ordering = hb
-                # Build the closure now, not lazily inside the race
-                # sweep, so profiles attribute hb1.closure to its own
-                # stage instead of nesting it under races.find.
-                hb.closure
-            races = find_races(trace, ordering)
+            races = find_races(trace, hb)
             analysis = partition_races(trace, hb, races)
         return RaceReport(trace=trace, hb=hb, races=races, analysis=analysis)
 

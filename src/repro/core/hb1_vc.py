@@ -1,28 +1,24 @@
-"""An alternative happens-before-1 backend using vector clocks.
+"""Vector clocks for happens-before-1, exact on cyclic relations too.
 
-The default :class:`~repro.core.hb1.HappensBefore1` answers ordering
-queries with a transitive closure over the event graph.  Real
-post-mortem tools more often assign each event a vector clock in one
-topological sweep: ``a hb1 b`` iff ``clock(a) <= clock(b)`` pointwise
-with ``a != b`` (per-processor components count events issued).  That
-is O(V·P) space instead of O(V²/64) and answers queries in O(P).
+The closure backend (:class:`~repro.core.hb1.HappensBefore1`) answers
+ordering queries from a transitive closure over the event graph.  This
+backend assigns every event a vector clock in one pass instead: ``a
+hb1 b`` iff ``clock(b)[a.proc] >= a.pos+1`` with ``a != b``
+(per-processor components count events issued).  That is O(V·P) space
+instead of O(V²/64) and answers a query in O(1).
 
-The clocks live in a V×P ``int64`` numpy matrix (one row per event in
-topological order) when numpy is available: each event's row is the
-``np.maximum`` join of its predecessors' rows — one vectorized call per
-edge instead of a Python component loop — and the matrix doubles as the
-input to the batched race sweep in :mod:`repro.core.races`, which
-tests whole candidate-pair arrays against it at once.  Without numpy
-the original pure-Python sweep is used and queries fall back to the
-per-pair epoch test.
-
-Vector clocks require an *acyclic* hb1 — true for every execution our
-simulator produces (its sync operations are sequentially consistent)
-but not guaranteed by the paper for arbitrary weak machines (§3.1).
-``VectorClockHB1`` therefore refuses cyclic inputs with
-:class:`CyclicHB1Error`; callers that must handle arbitrary traces use
-the closure backend.  The two backends are differentially tested for
-equality on every acyclic trace.
+On a weak machine hb1 may be cyclic (§3.1), so the pass runs over the
+strongly connected components of the relation graph: an iterative
+Tarjan walk along *predecessor* edges emits each component after every
+component that reaches it, i.e. in topological order of the
+condensation.  All members of one component share one clock — the
+join of the members' own positions and the clocks of their predecessor
+components — so cycle members see each other, and ``clock(b)[p] >=
+a.pos+1`` stays exact as "a hb1 b": ``clock(b)[p]`` counts up to the
+latest event of ``p`` that reaches ``b``, and ``a`` reaches every later
+event of ``p`` through po.  The emission order
+(:attr:`VectorClockHB1.order`) is the order in which
+:func:`~repro.core.races.find_races` feeds events to the race kernel.
 """
 
 from __future__ import annotations
@@ -30,40 +26,42 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
-from ..graph import CycleError, topological_sort
+from ..graph import topological_sort
 from ..trace.build import Trace
 from ..trace.events import ComputationEvent, EventId, SyncEvent
 from .hb1 import HappensBefore1
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
 
 class CyclicHB1Error(ValueError):
-    """hb1 has a cycle; vector clocks cannot represent it."""
+    """hb1 has a cycle.
+
+    Nothing raises it any more: vector clocks are computed over the SCC
+    condensation and stay exact on cyclic relations.  The class is kept
+    so that code that imports or catches it keeps working.
+    """
 
 
 class VectorClockHB1:
-    """Event vector clocks computed in one topological sweep.
+    """Event vector clocks computed in one pass over the SCC
+    condensation of the relation graph.
 
     Exposes the same ``ordered`` / ``unordered`` query interface as
-    :class:`HappensBefore1` so the two are interchangeable for race
-    detection on acyclic traces.  Pass a prebuilt ``base`` relation to
+    :class:`HappensBefore1`.  Pass a prebuilt ``base`` relation to
     reuse its graph instead of rebuilding po/so1 edges — including a
     *subclassed* relation (the predictive SHB/WCP backends pass their
-    modified edge sets through here to reuse the same sweep).
+    modified edge sets through here to reuse the same pass).
 
-    With ``track_variables=True`` the sweep additionally maintains
-    per-variable last-write / last-read *epoch* state in topological
-    order: for every location, the most recent write event and the
-    reads issued since it.  The resulting :attr:`adjacent_conflicts`
-    set — each event paired with the latest conflicting accesses it
-    supersedes — is exactly the candidate set a streaming per-variable
-    detector checks, and is what makes the SHB backend's multi-race
-    reports *sound* (Mathur et al. 2018 prove predictability only for
-    races detected against the last write / reads-since-last-write).
+    With ``track_variables=True`` on an acyclic relation the pass is
+    followed by a per-variable last-write / last-read *epoch* sweep in
+    topological order: for every location, the most recent write event
+    and the reads issued since it.  The resulting
+    :attr:`adjacent_conflicts` set — each event paired with the latest
+    conflicting accesses it supersedes — is exactly the candidate set a
+    streaming per-variable detector checks, and is what makes the SHB
+    backend's multi-race reports *sound* (Mathur et al. 2018 prove
+    predictability only for races detected against the last write /
+    reads-since-last-write).  A cyclic relation has no topological
+    order, so it gets no such sweep.
     """
 
     def __init__(
@@ -78,74 +76,82 @@ class VectorClockHB1:
         self.graph = base.graph
         self.po_edges = base.po_edges
         self.so1_edges = base.so1_edges
-        try:
-            order = topological_sort(self.graph)
-        except CycleError as exc:
-            raise CyclicHB1Error(
-                "hb1 contains a cycle (weak sync ordering, section 3.1); "
-                "use the transitive-closure backend"
-            ) from exc
-
-        nproc = trace.processor_count
-        self._clocks: Dict[EventId, List[int]] = {}
-        self._matrix = None
-        self._row_of: Dict[EventId, int] = {}
         self._adjacent: Optional[
             Dict[Tuple[EventId, EventId], Tuple[int, ...]]
         ] = None
         with obs.span("hb1.vc_sweep") as sp:
-            if _np is not None:
-                joins = self._sweep_matrix(order, nproc)
-            else:  # pragma: no cover - exercised via forced fallback tests
-                joins = self._sweep_python(order, nproc)
-            if track_variables:
-                self._adjacent = self._sweep_variables(order)
+            joins = self._sweep_clocks(trace.processor_count)
+            if track_variables and self._acyclic:
+                self._adjacent = self._sweep_variables(
+                    topological_sort(self.graph)
+                )
             if sp.enabled:
-                sp.add("events", len(order))
+                sp.add("events", len(self.order))
                 sp.add("clock_joins", joins)
-                if track_variables:
+                if self._adjacent is not None:
                     sp.add("adjacent_pairs", len(self._adjacent))
 
-    def _sweep_matrix(self, order: List[EventId], nproc: int) -> int:
-        """Clock matrix sweep: row i is event order[i]'s vector clock."""
-        row_of = self._row_of
-        for i, eid in enumerate(order):
-            row_of[eid] = i
-        matrix = _np.zeros((max(len(order), 1), nproc), dtype=_np.int64)
-        if order:
-            # Own components set vectorized up front: a same-processor
-            # predecessor's own component is always smaller (pos' < pos),
-            # so the maximum joins below can never overwrite them.
-            procs = _np.fromiter(
-                (e.proc for e in order), dtype=_np.intp, count=len(order)
-            )
-            poss = _np.fromiter(
-                (e.pos for e in order), dtype=_np.int64, count=len(order)
-            )
-            matrix[_np.arange(len(order)), procs] = poss + 1
+    def _sweep_clocks(self, nproc: int) -> int:
+        """Tarjan over predecessor edges, assigning each component its
+        clock as it is emitted; returns the number of clock joins."""
         predecessors = self.graph.predecessors
-        maximum = _np.maximum
+        clocks: Dict[EventId, List[int]] = {}
+        order: List[EventId] = []
+        index: Dict[EventId, int] = {}
+        low: Dict[EventId, int] = {}
+        stack: List[EventId] = []
+        acyclic = True
         joins = 0
-        for i, eid in enumerate(order):
-            row = matrix[i]
-            for pred in predecessors(eid):
-                maximum(row, matrix[row_of[pred]], out=row)
-                joins += 1
-        self._matrix = matrix
-        return joins
-
-    def _sweep_python(self, order: List[EventId], nproc: int) -> int:
-        joins = 0
-        for eid in order:
-            clock = [0] * nproc
-            for pred in self.graph.predecessors(eid):
-                pred_clock = self._clocks[pred]
-                for i in range(nproc):
-                    if pred_clock[i] > clock[i]:
-                        clock[i] = pred_clock[i]
-                joins += 1
-            clock[eid.proc] = eid.pos + 1  # this event's own position
-            self._clocks[eid] = clock
+        for root in self.graph.nodes():
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            work = [(root, iter(predecessors(root)))]
+            while work:
+                node, preds = work[-1]
+                for pred in preds:
+                    if pred not in index:
+                        index[pred] = low[pred] = len(index)
+                        stack.append(pred)
+                        work.append((pred, iter(predecessors(pred))))
+                        break
+                    if pred not in clocks and index[pred] < low[node]:
+                        low[node] = index[pred]  # still on the stack
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        if low[node] < low[parent]:
+                            low[parent] = low[node]
+                    if low[node] != index[node]:
+                        continue
+                    # node roots a component: it is the stack from node up
+                    at = len(stack) - 1
+                    while stack[at] is not node:
+                        at -= 1
+                    members = stack[at:]
+                    del stack[at:]
+                    if len(members) > 1:
+                        acyclic = False
+                    clock = [0] * nproc
+                    for member in members:
+                        if clock[member.proc] <= member.pos:
+                            clock[member.proc] = member.pos + 1
+                        for pred in predecessors(member):
+                            seen = clocks.get(pred)
+                            if seen is not None:
+                                clock = [
+                                    x if x >= y else y
+                                    for x, y in zip(clock, seen)
+                                ]
+                                joins += 1
+                    for member in members:
+                        clocks[member] = clock
+                    order.extend(members)
+        self._clocks = clocks
+        self._acyclic = acyclic
+        self.order = order
         return joins
 
     def _sweep_variables(
@@ -153,11 +159,11 @@ class VectorClockHB1:
     ) -> Dict[Tuple[EventId, EventId], Tuple[int, ...]]:
         """Per-variable last-write/last-read epoch tracking.
 
-        One pass over the same topological order the clocks were swept
-        in: for each location, remember the latest write and the reads
-        issued since it, and record every *adjacent* cross-processor
-        conflict (an access paired with the latest conflicting accesses
-        it supersedes, canonical ``a < b``).  Same-processor pairs are
+        One pass over a topological order of the relation: for each
+        location, remember the latest write and the reads issued since
+        it, and record every *adjacent* cross-processor conflict (an
+        access paired with the latest conflicting accesses it
+        supersedes, canonical ``a < b``).  Same-processor pairs are
         po-ordered and skipped.
         """
         trace = self.trace
@@ -211,30 +217,19 @@ class VectorClockHB1:
 
     # ------------------------------------------------------------------
     @property
-    def clock_matrix(self):
-        """The V×P int64 clock matrix in topological row order (None
-        when numpy is unavailable; see :attr:`row_index`)."""
-        return self._matrix
-
-    @property
-    def row_index(self) -> Dict[EventId, int]:
-        """EventId -> row of :attr:`clock_matrix`."""
-        return self._row_of
-
-    @property
     def adjacent_conflicts(
         self,
     ) -> Optional[Dict[Tuple[EventId, EventId], Tuple[int, ...]]]:
         """Adjacent conflicting cross-processor pairs from the
         per-variable last-write/last-read sweep (canonical ``(a, b)``
         with ``a < b`` mapped to conflict locations), or ``None`` when
-        the sweep ran without ``track_variables``."""
+        the sweep did not run (no ``track_variables``, or a cyclic
+        relation)."""
         return self._adjacent
 
     def clock_of(self, eid: EventId) -> List[int]:
-        """The event's vector clock (do not mutate)."""
-        if self._matrix is not None:
-            return self._matrix[self._row_of[eid]].tolist()
+        """The event's vector clock, shared by its whole SCC (do not
+        mutate)."""
         return self._clocks[eid]
 
     def ordered(self, a: EventId, b: EventId) -> bool:
@@ -243,12 +238,11 @@ class VectorClockHB1:
         full comparison is redundant)."""
         if a == b:
             return False
-        if self._matrix is not None:
-            return bool(self._matrix[self._row_of[b], a.proc] >= a.pos + 1)
-        return self._clocks[b][a.proc] >= self._clocks[a][a.proc]
+        return self._clocks[b][a.proc] >= a.pos + 1
 
     def unordered(self, a: EventId, b: EventId) -> bool:
         return not self.ordered(a, b) and not self.ordered(b, a)
 
     def is_partial_order(self) -> bool:
-        return True  # construction rejected cyclic inputs
+        """True when hb1 is acyclic: every SCC has a single member."""
+        return self._acyclic

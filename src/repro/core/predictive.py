@@ -33,10 +33,11 @@ onto this repo's event/vector-clock machinery:
   WCP's soundness guarantee covers the *first* race it reports; later
   predicted races are candidates, and the report labels them so.
 
-Both backends run their modified edge sets through the *same*
-:class:`~repro.core.hb1_vc.VectorClockHB1` sweep (the relation object
-is passed as ``base``), so the clock-matrix race sweep, the epoch
-tests, and the cyclic-hb1 closure fallback are shared, not duplicated.
+Both backends hand their modified edge sets to the *same*
+:func:`~repro.core.races.find_races` (the relation object is passed as
+the ordering), so the SCC-condensation clocks of
+:class:`~repro.core.hb1_vc.VectorClockHB1` and the race kernel — cyclic
+relations included — are shared, not duplicated.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from ..trace.build import Trace
 from ..machine.operations import SyncRole
 from ..trace.events import EventId, SyncEvent
 from .hb1 import HappensBefore1
-from .hb1_vc import CyclicHB1Error, VectorClockHB1
+from .hb1_vc import VectorClockHB1
 from .partitions import partition_races
 from .races import EventRace, find_races
 from .report import RaceReport
@@ -354,12 +355,7 @@ def _baseline(trace: Trace):
     both predictive detectors so their observed layer is bit-identical
     to the baseline)."""
     hb = HappensBefore1(trace)
-    try:
-        ordering = VectorClockHB1(trace, base=hb)
-    except CyclicHB1Error:
-        ordering = hb
-        hb.closure  # eager: profiles attribute the closure to its stage
-    races = find_races(trace, ordering)
+    races = find_races(trace, hb)
     analysis = partition_races(trace, hb, races)
     return hb, races, analysis
 
@@ -372,17 +368,12 @@ class SHBDetector:
             hb, races, analysis = _baseline(trace)
             shb = ScheduleHappensBefore(trace)
             sound: List[EventRace] = []
-            try:
-                shb_vc = VectorClockHB1(
-                    trace, base=shb, track_variables=True
-                )
-            except CyclicHB1Error:
-                # A cyclic SHB relation has no linearization, so the
-                # per-variable sweep (and with it the soundness
-                # argument) does not apply; report the baseline with
-                # nothing individually certified.
-                shb_vc = None
-            if shb_vc is not None:
+            shb_vc = VectorClockHB1(trace, base=shb, track_variables=True)
+            # A cyclic SHB relation has no linearization, so the
+            # per-variable sweep (and with it the soundness argument)
+            # does not apply; report the baseline with nothing
+            # individually certified.
+            if shb_vc.is_partial_order():
                 adjacent = shb_vc.adjacent_conflicts
                 sound = [
                     race for race in races
@@ -413,12 +404,7 @@ class WCPDetector:
             predicted: List[EventRace] = []
             combined = observed
             if wcp.dropped_so1_edges:
-                try:
-                    wcp_ordering = VectorClockHB1(trace, base=wcp)
-                except CyclicHB1Error:
-                    wcp_ordering = wcp
-                    wcp.closure
-                wcp_races = find_races(trace, wcp_ordering)
+                wcp_races = find_races(trace, wcp)
                 observed_pairs = {(r.a, r.b) for r in observed}
                 predicted = [
                     race for race in wcp_races

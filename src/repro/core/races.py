@@ -4,17 +4,28 @@ A race is a pair of events that conflict on some location and are not
 ordered by hb1.  It is a *data* race when at least one side is a
 computation (data) event; a race between two synchronization events is
 detected but flagged, since Definition 2.4 excludes it from data races.
+
+Every detector in the package finds races with one kernel,
+:class:`RaceKernel`: a frontier-pruned sweep that consumes events one
+at a time, each with its vector clock, and tests every new access only
+against the remembered accesses that some processor has not yet seen.
+:func:`find_races` feeds it the events of a finished trace in the order
+:class:`~repro.core.hb1_vc.VectorClockHB1` computed their clocks (a
+topological order of the hb1 condensation, so cyclic hb1 needs no
+special case); the streaming detector feeds it live, with clocks from
+its own online Definition 2.1 pairing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .. import obs
 from ..trace.build import Trace
-from ..trace.events import ComputationEvent, EventId, SyncEvent
+from ..trace.events import EventId, SyncEvent
 from .hb1 import HappensBefore1
+from .hb1_vc import VectorClockHB1
 
 
 @dataclass(frozen=True)
@@ -57,237 +68,185 @@ class EventRace:
         return f"<{self.a}, {self.b}> on {{{locs}}} ({kind})"
 
 
-def _accesses_by_location(
+class RaceKernel:
+    """The race-finding sweep, with O(P·V + races) state.
+
+    Events must arrive so that an event hb1-before another arrives first
+    (cycle members, which are hb1-before each other, in any order), and
+    each processor's clocks must grow pointwise from one of its events
+    to the next.  Then the later event ``b`` of a pair is hb1-before the
+    earlier ``a`` only if ``a`` is hb1-before ``b`` too, and the single
+    epoch test ``clock_b[a.proc] < a.pos+1`` decides unorderedness
+    exactly.
+
+    The kernel keeps
+
+    * :attr:`clock` — per processor, the clock of its latest event (the
+      streaming detector updates these lists in place; :meth:`advance`
+      installs a new one),
+    * per data location, the remembered reader/writer accesses that
+      some processor has *not yet seen*, pruned exactly: an access
+      ``(q, pos)`` is dropped the moment every other processor's clock
+      has component ``>= pos+1``, because from then on every future
+      event is hb1-after it and no new race can involve it,
+    * the accumulated race set.
+    """
+
+    def __init__(self, processor_count: int) -> None:
+        self.nproc = processor_count
+        self.clock = [[0] * processor_count for _ in range(processor_count)]
+        # addr -> [(proc, pos, is_comp, eid)] not yet seen by every
+        # processor
+        self.writers: Dict[int, List[Tuple[int, int, bool, EventId]]] = {}
+        self.readers: Dict[int, List[Tuple[int, int, bool, EventId]]] = {}
+        # min over r != q of clock[r][q]; entries below it are settled
+        self.global_min: List[float] = [
+            float("inf") if processor_count == 1 else 0
+        ] * processor_count
+        # canonical (a, b) -> (locations, is_data_race)
+        self.races: Dict[Tuple[EventId, EventId], Tuple[Set[int], bool]] = {}
+        self.retained = 0
+        self.retained_peak = 0
+        self.pruned = 0
+
+    # ------------------------------------------------------------------
+    def recompute_global_min(self) -> None:
+        """Call after a processor's clock gained a foreign component."""
+        clock = self.clock
+        for q in range(self.nproc):
+            self.global_min[q] = min(
+                (clock[r][q] for r in range(self.nproc) if r != q),
+                default=float("inf"),
+            )
+
+    def advance(self, proc: int, clock: List[int]) -> None:
+        """Make *clock* (never mutated here) the clock of *proc*'s
+        latest event."""
+        previous = self.clock[proc]
+        self.clock[proc] = clock
+        if clock is not previous and (
+            clock[:proc] != previous[:proc]
+            or clock[proc + 1:] != previous[proc + 1:]
+        ):
+            self.recompute_global_min()
+
+    def _scan_list(self, index: Dict[int, List[Tuple[int, int, bool, EventId]]],
+                   addr: int, eid: EventId, is_comp: bool,
+                   clock: List[int]) -> None:
+        entries = index.get(addr)
+        if not entries:
+            return
+        gm = self.global_min
+        proc = eid.proc
+        keep = []
+        for entry in entries:
+            q, qpos, q_comp, qeid = entry
+            if gm[q] >= qpos + 1:
+                # every other processor has seen (q, qpos): hb1-ordered
+                # before all current and future events, drop it
+                self.pruned += 1
+                self.retained -= 1
+                continue
+            keep.append(entry)
+            if q == proc:
+                continue  # same-processor pairs are po-ordered
+            if clock[q] < qpos + 1:
+                # canonical (a, b): processors differ, so proc decides
+                key = (qeid, eid) if q < proc else (eid, qeid)
+                race = self.races.get(key)
+                if race is None:
+                    self.races[key] = ({addr}, q_comp or is_comp)
+                else:
+                    race[0].add(addr)
+        if len(keep) != len(entries):
+            index[addr] = keep
+
+    def scan(self, eid: EventId, is_comp: bool,
+             reads: Iterable[int], writes: Iterable[int]) -> None:
+        """Race-scan one event (clock: ``clock[eid.proc]``) against the
+        remembered accesses, then remember it.  Writer×writer and
+        writer×reader pairs only: readers never race each other."""
+        # both sets are walked twice (scan, then remember) — a one-shot
+        # iterator (e.g. a columnar bitset decoder) must be materialized
+        reads = tuple(reads)
+        writes = tuple(writes)
+        clock = self.clock[eid.proc]
+        for addr in writes:
+            self._scan_list(self.writers, addr, eid, is_comp, clock)
+            self._scan_list(self.readers, addr, eid, is_comp, clock)
+        for addr in reads:
+            self._scan_list(self.writers, addr, eid, is_comp, clock)
+        entry = (eid.proc, eid.pos, is_comp, eid)
+        for addr in writes:
+            self.writers.setdefault(addr, []).append(entry)
+            self.retained += 1
+        for addr in reads:
+            self.readers.setdefault(addr, []).append(entry)
+            self.retained += 1
+        if self.retained > self.retained_peak:
+            self.retained_peak = self.retained
+
+    def finish(self) -> List[EventRace]:
+        """The races found so far, sorted by ``(a, b)``."""
+        races = [
+            EventRace(
+                a=a,
+                b=b,
+                locations=tuple(sorted(locations)),
+                is_data_race=is_data,
+            )
+            for (a, b), (locations, is_data) in self.races.items()
+        ]
+        races.sort(key=lambda race: (race.a, race.b))
+        return races
+
+
+def find_races(
     trace: Trace,
-) -> Tuple[Dict[int, List[EventId]], Dict[int, List[EventId]]]:
-    """Index events by the locations they read and write."""
-    columns = getattr(trace, "columns", None)
-    if columns is not None:
-        return _accesses_by_location_columnar(columns)
-    readers: Dict[int, List[EventId]] = {}
-    writers: Dict[int, List[EventId]] = {}
-    for event in trace.all_events():
-        if isinstance(event, SyncEvent):
-            target = writers if event.writes_addr else readers
-            target.setdefault(event.addr, []).append(event.eid)
-        else:
-            assert isinstance(event, ComputationEvent)
-            for addr in event.reads:
-                readers.setdefault(addr, []).append(event.eid)
-            for addr in event.writes:
-                writers.setdefault(addr, []).append(event.eid)
-    return readers, writers
-
-
-def _accesses_by_location_columnar(
-    columns,
-) -> Tuple[Dict[int, List[EventId]], Dict[int, List[EventId]]]:
-    """The same read/write index straight off the columns — EventIds
-    only, no event or bit-vector objects."""
-    readers: Dict[int, List[EventId]] = {}
-    writers: Dict[int, List[EventId]] = {}
-    tag, kind, addr_col = columns.tag, columns.kind, columns.addr
-    for proc, count in enumerate(columns.proc_counts):
-        base = columns.proc_offsets[proc]
-        for pos in range(count):
-            row = base + pos
-            eid = EventId(proc, pos)
-            if tag[row]:  # computation event
-                for addr in columns.event_reads(row):
-                    readers.setdefault(addr, []).append(eid)
-                for addr in columns.event_writes(row):
-                    writers.setdefault(addr, []).append(eid)
-            else:
-                target = writers if kind[row] else readers
-                target.setdefault(int(addr_col[row]), []).append(eid)
-    return readers, writers
-
-
-def find_races(trace: Trace, hb: Optional[HappensBefore1] = None) -> List[EventRace]:
+    hb: Optional[Union[HappensBefore1, VectorClockHB1]] = None,
+) -> List[EventRace]:
     """All races of *trace*: conflicting, hb1-unordered event pairs.
 
-    Returns races sorted by (a, b) for determinism.  Pass a prebuilt
-    :class:`HappensBefore1` to avoid rebuilding the relation; pass a
-    :class:`~repro.core.hb1_vc.VectorClockHB1` to use the batched
-    clock-matrix sweep instead of per-pair closure queries (the two are
-    differentially tested to report identical races).
+    Returns races sorted by (a, b) for determinism.  *hb* is the
+    ordering: ``None`` for plain hb1, a prebuilt :class:`HappensBefore1`
+    (or subclass — the predictive SHB/WCP relations) to reuse its graph,
+    or a prebuilt :class:`VectorClockHB1` to reuse its clocks as well.
+    A columnar trace is read straight off its columns, so a lazy one
+    stays unmaterialized.
     """
-    hb = hb or HappensBefore1(trace)
-    with obs.span("races.find") as _sp:
-        if getattr(hb, "clock_matrix", None) is not None:
-            races = _find_races_batched(trace, hb, _sp)
-        elif hasattr(hb, "closure"):
-            races = _find_races(trace, hb, _sp)
-        else:
-            races = _find_races_epoch(trace, hb, _sp)
-    return races
-
-
-def _collect_candidates(
-    trace: Trace,
-) -> Dict[Tuple[EventId, EventId], List[int]]:
-    """Every conflicting cross-processor event pair (canonical a < b),
-    mapped to the locations it conflicts on.  Same-processor pairs are
-    always po-ordered and skipped up front."""
-    readers, writers = _accesses_by_location(trace)
-    pairs: Dict[Tuple[EventId, EventId], List[int]] = {}
-    for addr, writer_list in writers.items():
-        reader_list = readers.get(addr, [])
-        for i, w in enumerate(writer_list):
-            for other in writer_list[i + 1:]:
-                if other.proc != w.proc:
-                    key = (w, other) if w < other else (other, w)
-                    bucket = pairs.get(key)
-                    if bucket is None:
-                        pairs[key] = [addr]
-                    else:
-                        bucket.append(addr)
-            for r in reader_list:
-                if r.proc != w.proc:
-                    key = (w, r) if w < r else (r, w)
-                    bucket = pairs.get(key)
-                    if bucket is None:
-                        pairs[key] = [addr]
-                    else:
-                        bucket.append(addr)
-    return pairs
-
-
-def _make_race(trace: Trace, a: EventId, b: EventId, locations: List[int]) -> EventRace:
-    columns = getattr(trace, "columns", None)
-    if columns is not None:
-        is_data = (
-            columns.is_comp(columns.row_of(a.proc, a.pos))
-            or columns.is_comp(columns.row_of(b.proc, b.pos))
-        )
-    else:
-        event_a, event_b = trace.event(a), trace.event(b)
-        is_data = event_a.is_computation or event_b.is_computation
-    return EventRace(
-        a=a,
-        b=b,
-        locations=tuple(sorted(set(locations))),
-        is_data_race=is_data,
-    )
-
-
-def _find_races_batched(trace: Trace, vc, _sp) -> List[EventRace]:
-    """Race sweep against a clock matrix: all candidate pairs are tested
-    in one pass of array comparisons.  ``(a, b)`` is unordered iff
-    neither side has seen the other's own component — ``M[row(b),
-    a.proc] < a.pos+1 and M[row(a), b.proc] < b.pos+1`` — vectorized
-    over the whole candidate batch instead of one closure query per
-    pair."""
-    import numpy as np
-
-    pairs = _collect_candidates(trace)
-    races: List[EventRace] = []
-    if pairs:
-        keys = list(pairs)
-        n = len(keys)
-        matrix = vc.clock_matrix
-        row_of = vc.row_index
-        ia = np.empty(n, dtype=np.intp)
-        ib = np.empty(n, dtype=np.intp)
-        pa = np.empty(n, dtype=np.intp)
-        pb = np.empty(n, dtype=np.intp)
-        oa = np.empty(n, dtype=np.int64)
-        ob = np.empty(n, dtype=np.int64)
-        for k, (a, b) in enumerate(keys):
-            ia[k] = row_of[a]
-            ib[k] = row_of[b]
-            pa[k] = a.proc
-            pb[k] = b.proc
-            oa[k] = a.pos + 1
-            ob[k] = b.pos + 1
-        unordered = (matrix[ib, pa] < oa) & (matrix[ia, pb] < ob)
-        for k in np.flatnonzero(unordered):
-            a, b = keys[k]
-            races.append(_make_race(trace, a, b, pairs[(a, b)]))
-    races.sort(key=lambda race: (race.a, race.b))
-    if _sp.enabled:
-        _sp.add("pairs_tested", len(pairs))
-        _sp.add("vc_batch_rows", len(pairs))
-        _sp.add("pairs_reported", len(races))
-        _sp.add("data_races", sum(1 for r in races if r.is_data_race))
-    return races
-
-
-def _find_races_epoch(trace: Trace, vc, _sp) -> List[EventRace]:
-    """Per-pair epoch-test sweep for vector-clock backends without a
-    matrix (numpy unavailable)."""
-    pairs = _collect_candidates(trace)
-    races = [
-        _make_race(trace, a, b, locations)
-        for (a, b), locations in pairs.items()
-        if vc.unordered(a, b)
-    ]
-    races.sort(key=lambda race: (race.a, race.b))
-    if _sp.enabled:
-        _sp.add("pairs_tested", len(pairs))
-        _sp.add("pairs_reported", len(races))
-        _sp.add("data_races", sum(1 for r in races if r.is_data_race))
-    return races
-
-
-def _find_races(
-    trace: Trace, hb: HappensBefore1, _sp
-) -> List[EventRace]:
-    readers, writers = _accesses_by_location(trace)
-
-    # Hot path: for each location, every writer x (writer or reader)
-    # pair is a conflict; a pair is a race iff hb1-unordered.  Ordered
-    # pairs are remembered so multi-location conflicts don't re-query.
-    closure = hb.closure
-    index_of = closure.index_of
-    ordered_index = closure.ordered_index
-    dense: Dict[EventId, int] = {}
-
-    def didx(eid: EventId) -> int:
-        i = dense.get(eid)
-        if i is None:
-            i = index_of(eid)
-            dense[eid] = i
-        return i
-
-    racing: Dict[Tuple[EventId, EventId], List[int]] = {}
-    settled_ordered: Set[Tuple[EventId, EventId]] = set()
-
-    def note(x: EventId, y: EventId, addr: int) -> None:
-        key = (x, y) if x < y else (y, x)
-        bucket = racing.get(key)
-        if bucket is not None:
-            bucket.append(addr)
-            return
-        if key in settled_ordered:
-            return
-        i, j = didx(key[0]), didx(key[1])
-        if ordered_index(i, j) or ordered_index(j, i):
-            settled_ordered.add(key)
-        else:
-            racing[key] = [addr]
-
-    for addr, writer_list in writers.items():
-        reader_list = readers.get(addr, [])
-        for i, w in enumerate(writer_list):
-            # same-processor events are always po-ordered: skip them
-            for other in writer_list[i + 1:]:
-                if other.proc != w.proc:
-                    note(w, other, addr)
-            for r in reader_list:
-                if r.proc != w.proc:
-                    note(w, r, addr)
-
-    races: List[EventRace] = []
-    for (a, b), locations in racing.items():
-        races.append(_make_race(trace, a, b, locations))
-    races.sort(key=lambda race: (race.a, race.b))
-    if _sp.enabled:
-        # pairs_tested counts distinct conflicting pairs whose ordering
-        # was actually queried; pairs_reported is the races among them
-        _sp.add("pairs_tested", len(racing) + len(settled_ordered))
-        _sp.add("pairs_reported", len(races))
-        _sp.add("data_races", sum(1 for r in races if r.is_data_race))
+    vc = hb if isinstance(hb, VectorClockHB1) else VectorClockHB1(trace, base=hb)
+    with obs.span("races.find") as sp:
+        kernel = RaceKernel(trace.processor_count)
+        advance, scan, clock_of = kernel.advance, kernel.scan, vc.clock_of
+        columns = getattr(trace, "columns", None)
+        # vc.order holds the relation graph's own EventId objects, which
+        # the races then share: later graph lookups hit by identity
+        for eid in vc.order:
+            proc, pos = eid.proc, eid.pos
+            advance(proc, clock_of(eid))
+            if columns is not None:
+                row = columns.row_of(proc, pos)
+                if columns.is_comp(row):
+                    scan(eid, True,
+                         columns.event_reads(row), columns.event_writes(row))
+                elif columns.kind[row]:
+                    scan(eid, False, (), (int(columns.addr[row]),))
+                else:
+                    scan(eid, False, (int(columns.addr[row]),), ())
+                continue
+            event = trace.events[proc][pos]
+            if not isinstance(event, SyncEvent):
+                scan(eid, True, event.reads, event.writes)
+            elif event.writes_addr:
+                scan(eid, False, (), (event.addr,))
+            else:
+                scan(eid, False, (event.addr,), ())
+        races = kernel.finish()
+        if sp.enabled:
+            sp.add("retained_peak", kernel.retained_peak)
+            sp.add("pruned_entries", kernel.pruned)
+            sp.add("pairs_reported", len(races))
+            sp.add("data_races", sum(1 for r in races if r.is_data_race))
     return races
 
 

@@ -1,9 +1,9 @@
 """Online streaming race detection: no trace, bounded state.
 
-The post-mortem pipeline materializes the whole trace, builds hb1, and
-sweeps every conflicting pair.  This module detects the *same* races
-online, in the style of set-based online predictive analysis (Roemer &
-Bond 2019): events are consumed one at a time in any linearization of
+The post-mortem pipeline materializes the whole trace and builds hb1
+before it looks for races.  This module detects the *same* races online,
+in the style of set-based online predictive analysis (Roemer & Bond
+2019): events are consumed one at a time in any linearization of
 program order and the per-location synchronization-order chains, and
 the detector keeps only
 
@@ -12,18 +12,18 @@ the detector keeps only
 * per synchronization location, the most recent sync write (role,
   value, writer, clock snapshot) — exactly what Definition 2.1 pairing
   needs,
-* per data location, the remembered reader/writer accesses that some
-  processor has *not yet seen*, pruned exactly: an access ``(q, pos)``
-  is dropped the moment every other processor's clock has component
-  ``>= pos+1``, because from then on every future event is hb1-after it
-  and no new race can involve it,
+* the race kernel's remembered accesses
+  (:class:`~repro.core.races.RaceKernel`): per data location, the
+  accesses some processor has *not yet seen*, pruned exactly,
 
-for O(P·V + races) state independent of trace length.  The reported
-race set is byte-identical to ``find_races`` on the materialized trace
-(differentially tested across the workload corpus): in a linearization
-of po ∪ sync chains the later event of a pair can never be hb1-before
-the earlier one, so the single epoch test ``clock_b[a.proc] < a.pos+1``
-decides unorderedness exactly.
+for O(P·V + races) state independent of trace length.  The race
+finding itself is the kernel every detector shares; what this module
+adds is the clock derivation — online Definition 2.1 pairing instead of
+a relation graph.  In a linearization of po ∪ sync chains the later
+event of a pair can never be hb1-before the earlier one, which is the
+kernel's input contract, so the reported race set is byte-identical to
+``find_races`` on the materialized trace (differentially tested across
+the workload corpus).
 
 Computation events are segmented incrementally from the operation
 stream (a sync operation closes the open computation, as in
@@ -34,125 +34,42 @@ clock, which cannot change in between (only data operations intervene).
 When the detector is handed a finished :class:`Trace` instead of a
 live stream it linearizes po ∪ sync chains itself (deterministic Kahn
 merge).  If those chains are cyclic (possible on weak executions,
-section 3.1 — no topological consumption order exists) it falls back to
-the closure-backend post-mortem sweep, so the race-set guarantee holds
-on every input.
+section 3.1 — no consumption order exists) the clocks come from the
+hb1 condensation instead (:func:`~repro.core.races.find_races`), so the
+race-set guarantee holds on every input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .. import obs
 from ..machine.operations import MemoryOperation, OperationKind, SyncRole
 from ..trace.build import Trace
 from ..trace.columnar import _CODE_ROLE
 from ..trace.events import EventId, SyncEvent
-from .races import EventRace
+from .races import EventRace, RaceKernel, find_races
 from .report import REPORT_FORMAT, _race_from_record, _race_record
 
 
 class _StreamEngine:
-    """The O(P·V) online core: clocks, pairing state, remembered
-    accesses, and the accumulated race set."""
+    """The online core: Definition 2.1 pairing state and clocks, with
+    every race scan handed to the shared :class:`RaceKernel`."""
 
     def __init__(self, processor_count: int) -> None:
         self.nproc = processor_count
-        # clock[p] = vector clock of p's latest event (updated in place:
-        # the po predecessor's clock is exactly the previous value)
-        self.clock = [[0] * processor_count for _ in range(processor_count)]
+        # kernel.clock[p] = vector clock of p's latest event, updated in
+        # place: the po predecessor's clock is exactly the previous value
+        self.kernel = RaceKernel(processor_count)
         # addr -> (is_release, value, writer proc, clock snapshot)
         self.last_sync_write: Dict[int, Tuple[bool, int, int, Tuple[int, ...]]] = {}
-        # addr -> [(proc, pos, is_comp)] not yet seen by every processor
-        self.writers: Dict[int, List[Tuple[int, int, bool]]] = {}
-        self.readers: Dict[int, List[Tuple[int, int, bool]]] = {}
-        # min over r != q of clock[r][q]; entries below it are settled
-        self.global_min: List[float] = [
-            float("inf") if processor_count == 1 else 0
-        ] * processor_count
-        # canonical (a, b) eid tuples -> (locations, is_data_race)
-        self.races: Dict[
-            Tuple[Tuple[int, int], Tuple[int, int]], Tuple[Set[int], bool]
-        ] = {}
         self.event_count = 0
-        self.retained = 0
-        self.retained_peak = 0
-        self.pruned = 0
 
-    # ------------------------------------------------------------------
-    def _recompute_global_min(self) -> None:
-        clock = self.clock
-        for q in range(self.nproc):
-            self.global_min[q] = min(
-                (clock[r][q] for r in range(self.nproc) if r != q),
-                default=float("inf"),
-            )
-
-    def _note_race(self, q: int, qpos: int, q_comp: bool,
-                   p: int, pos: int, p_comp: bool, addr: int) -> None:
-        a, b = (q, qpos), (p, pos)
-        if b < a:
-            a, b = b, a
-        entry = self.races.get((a, b))
-        if entry is None:
-            self.races[(a, b)] = ({addr}, q_comp or p_comp)
-        else:
-            entry[0].add(addr)
-
-    def _scan_list(self, index: Dict[int, List[Tuple[int, int, bool]]],
-                   addr: int, proc: int, pos: int, is_comp: bool,
-                   clock: List[int]) -> None:
-        entries = index.get(addr)
-        if not entries:
-            return
-        gm = self.global_min
-        keep = []
-        for entry in entries:
-            q, qpos, q_comp = entry
-            if gm[q] >= qpos + 1:
-                # every other processor has seen (q, qpos): hb1-ordered
-                # before all current and future events, drop it
-                self.pruned += 1
-                self.retained -= 1
-                continue
-            keep.append(entry)
-            if q == proc:
-                continue  # same-processor pairs are po-ordered
-            if clock[q] < qpos + 1:
-                self._note_race(q, qpos, q_comp, proc, pos, is_comp, addr)
-        if len(keep) != len(entries):
-            index[addr] = keep
-
-    def _scan(self, proc: int, pos: int, is_comp: bool,
-              reads: Iterable[int], writes: Iterable[int]) -> None:
-        """Race-scan one event against remembered accesses, then
-        remember it.  Writer×writer and writer×reader pairs only —
-        the same candidate shape as the post-mortem sweep."""
-        # both sets are walked twice (scan, then remember) — a one-shot
-        # iterator (e.g. a columnar bitset decoder) must be materialized
-        reads = tuple(reads)
-        writes = tuple(writes)
-        clock = self.clock[proc]
-        for addr in writes:
-            self._scan_list(self.writers, addr, proc, pos, is_comp, clock)
-            self._scan_list(self.readers, addr, proc, pos, is_comp, clock)
-        for addr in reads:
-            self._scan_list(self.writers, addr, proc, pos, is_comp, clock)
-        entry = (proc, pos, is_comp)
-        for addr in writes:
-            self.writers.setdefault(addr, []).append(entry)
-            self.retained += 1
-        for addr in reads:
-            self.readers.setdefault(addr, []).append(entry)
-            self.retained += 1
-        if self.retained > self.retained_peak:
-            self.retained_peak = self.retained
-
-    # ------------------------------------------------------------------
     def process_sync(self, proc: int, pos: int, addr: int, is_write: bool,
                      role: SyncRole, value: int) -> None:
-        clock = self.clock[proc]
+        kernel = self.kernel
+        clock = kernel.clock[proc]
         joined = False
         if not is_write and role is SyncRole.ACQUIRE:
             last = self.last_sync_write.get(addr)
@@ -171,48 +88,34 @@ class _StreamEngine:
                         clock[i] = snapshot[i]
                         joined = True
         clock[proc] = pos + 1
-        if joined and self.nproc > 1:
-            self._recompute_global_min()
+        if joined:
+            kernel.recompute_global_min()
         if is_write:
-            self._scan(proc, pos, False, (), (addr,))
+            kernel.scan(EventId(proc, pos), False, (), (addr,))
             self.last_sync_write[addr] = (
                 role is SyncRole.RELEASE, value, proc, tuple(clock),
             )
         else:
-            self._scan(proc, pos, False, (addr,), ())
+            kernel.scan(EventId(proc, pos), False, (addr,), ())
         self.event_count += 1
 
     def open_comp(self, proc: int, pos: int) -> None:
         """A computation event starts: claim its own clock component now
         so later releases on this processor carry it."""
-        self.clock[proc][proc] = pos + 1
+        self.kernel.clock[proc][proc] = pos + 1
 
     def close_comp(self, proc: int, pos: int,
                    reads: Iterable[int], writes: Iterable[int]) -> None:
         """The computation's READ/WRITE sets are complete: scan it with
         its open-time clock (unchanged in between — only data operations
         intervene) and remember it."""
-        self._scan(proc, pos, True, reads, writes)
+        self.kernel.scan(EventId(proc, pos), True, reads, writes)
         self.event_count += 1
 
     def process_comp(self, proc: int, pos: int,
                      reads: Iterable[int], writes: Iterable[int]) -> None:
         self.open_comp(proc, pos)
         self.close_comp(proc, pos, reads, writes)
-
-    # ------------------------------------------------------------------
-    def finish(self) -> List[EventRace]:
-        races = [
-            EventRace(
-                a=EventId(*a),
-                b=EventId(*b),
-                locations=tuple(sorted(locations)),
-                is_data_race=is_data,
-            )
-            for (a, b), (locations, is_data) in self.races.items()
-        ]
-        races.sort(key=lambda race: (race.a, race.b))
-        return races
 
 
 @dataclass
@@ -230,6 +133,7 @@ class StreamingReport:
     operation_count: int = 0
     retained_peak: int = 0
     pruned_entries: int = 0
+    # cyclic sync chains: the clocks came from the hb1 condensation
     used_fallback: bool = False
 
     @property
@@ -285,7 +189,7 @@ class StreamingReport:
         lines.append(
             f"[retained peak {self.retained_peak} access(es), "
             f"{self.pruned_entries} pruned"
-            + (", post-mortem fallback]" if self.used_fallback else "]")
+            + (", hb1-condensation clocks]" if self.used_fallback else "]")
         )
         return "\n".join(lines)
 
@@ -373,12 +277,13 @@ class StreamingDetector:
                 current = open_comp[p]
                 if current is not None:
                     engine.close_comp(p, *current)
-            races = engine.finish()
+            kernel = engine.kernel
+            races = kernel.finish()
             if sp.enabled:
                 sp.add("operations", nops)
                 sp.add("events", engine.event_count)
-                sp.add("retained_peak", engine.retained_peak)
-                sp.add("pruned_entries", engine.pruned)
+                sp.add("retained_peak", kernel.retained_peak)
+                sp.add("pruned_entries", kernel.pruned)
                 sp.add("races", len(races))
         return StreamingReport(
             processor_count=processor_count,
@@ -386,8 +291,8 @@ class StreamingDetector:
             races=races,
             event_count=engine.event_count,
             operation_count=nops,
-            retained_peak=engine.retained_peak,
-            pruned_entries=engine.pruned,
+            retained_peak=kernel.retained_peak,
+            pruned_entries=kernel.pruned,
         )
 
     def analyze_execution(self, result) -> StreamingReport:
@@ -401,8 +306,9 @@ class StreamingDetector:
     def analyze(self, trace: Trace) -> StreamingReport:
         """Stream a finished trace: linearize po ∪ sync chains with a
         deterministic Kahn merge and feed the engine.  On a cyclic
-        chain structure (weak sync ordering, section 3.1) fall back to
-        the post-mortem closure sweep — same race set either way."""
+        chain structure (weak sync ordering, section 3.1) no
+        linearization exists, so the kernel runs on the hb1
+        condensation's clocks instead — same race set either way."""
         with obs.span("detect.streaming") as sp:
             engine = _StreamEngine(trace.processor_count)
             columns = getattr(trace, "columns", None)
@@ -483,17 +389,16 @@ class StreamingDetector:
 
             if stalled:
                 # po ∪ sync chains are cyclic: no consumption order
-                # exists, so compute the same race set post-mortem
-                from .hb1 import HappensBefore1
-                from .races import find_races
-
-                races = find_races(trace, HappensBefore1(trace))
+                # exists, so take the clocks from the hb1 condensation
+                # and run the same kernel over them
+                races = find_races(trace)
             else:
-                races = engine.finish()
+                races = engine.kernel.finish()
+            kernel = engine.kernel
             if sp.enabled:
                 sp.add("events", trace.event_count)
-                sp.add("retained_peak", engine.retained_peak)
-                sp.add("pruned_entries", engine.pruned)
+                sp.add("retained_peak", kernel.retained_peak)
+                sp.add("pruned_entries", kernel.pruned)
                 sp.add("races", len(races))
                 sp.add("fallback", 1 if stalled else 0)
         return StreamingReport(
@@ -501,7 +406,7 @@ class StreamingDetector:
             model_name=trace.model_name,
             races=races,
             event_count=trace.event_count,
-            retained_peak=engine.retained_peak,
-            pruned_entries=engine.pruned,
+            retained_peak=kernel.retained_peak,
+            pruned_entries=kernel.pruned,
             used_fallback=stalled,
         )

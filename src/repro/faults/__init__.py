@@ -3,7 +3,7 @@
 Crash-recovery code that is only ever exercised by hand-written stubs
 is unproven.  This package injects *real* failures — worker crashes,
 hangs past the job timeout, the parent dying mid-hunt, torn artifact
-files, and a numpy-less detector — at deterministic points, so the
+files, and a numpy-less trace layer — at deterministic points, so the
 integration suite can kill and resume actual hunts and assert result
 equivalence.
 

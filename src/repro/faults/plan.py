@@ -26,9 +26,9 @@ Injection points (all optional):
     exists for.
 
 ``no_numpy``
-    Simulate numpy failing to import, forcing the vector-clock layer
-    onto its pure-Python epoch-sweep fallback
-    (:mod:`repro.core.hb1_vc` keeps working with ``_np = None``).
+    Simulate numpy failing to import, forcing the columnar trace layer
+    onto its pure-Python column fallback
+    (:mod:`repro.trace.columnar` keeps working with ``_np = None``).
 
 Activation: set ``REPRO_FAULTS`` to inline JSON (``{"crash": ...}``)
 or to the path of a JSON file — the fork-pool workers inherit the
@@ -192,8 +192,8 @@ def apply_process_faults() -> None:
     plan = active_plan()
     if plan is None or not plan.no_numpy:
         return
-    from ..core import hb1_vc
-    hb1_vc._np = None  # the layer's declared numpy-missing mode
+    from ..trace import columnar
+    columnar._np = None  # the layer's declared numpy-missing mode
 
 
 # ----------------------------------------------------------------------

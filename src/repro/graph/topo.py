@@ -23,13 +23,14 @@ def topological_sort(graph: DiGraph) -> List[Hashable]:
     Ties are broken by node insertion order so the result is
     deterministic for a deterministically-built graph.
     """
-    in_deg = {node: graph.in_degree(node) for node in graph.nodes()}
-    queue = deque(node for node in graph.nodes() if in_deg[node] == 0)
+    position = {node: i for i, node in enumerate(graph.nodes())}
+    in_deg = {node: graph.in_degree(node) for node in position}
+    queue = deque(node for node in position if in_deg[node] == 0)
     order: List[Hashable] = []
     while queue:
         node = queue.popleft()
         order.append(node)
-        for succ in sorted(graph.successors(node), key=_stable_key(graph)):
+        for succ in sorted(graph.successors(node), key=position.__getitem__):
             in_deg[succ] -= 1
             if in_deg[succ] == 0:
                 queue.append(succ)
@@ -38,11 +39,6 @@ def topological_sort(graph: DiGraph) -> List[Hashable]:
             f"graph has a cycle: sorted {len(order)} of {graph.node_count} nodes"
         )
     return order
-
-
-def _stable_key(graph: DiGraph):
-    positions = {node: i for i, node in enumerate(graph.nodes())}
-    return positions.__getitem__
 
 
 def is_acyclic(graph: DiGraph) -> bool:

@@ -7,9 +7,9 @@ schema-versioned, struct-packed fixed-width **columns** — one contiguous
 array per field (tag/proc/pos/kind/role/addr/value/...), plus a
 length-prefixed bit-vector pool for computation READ/WRITE sets — so a
 reader can ``mmap`` the file and expose each column as a numpy view
-without copying or materializing a single event object.  The vectorized
-clock sweep (:mod:`..core.hb1_vc`) and the batched race sweep
-(:mod:`..core.races`) operate on these columns directly; everything else
+without copying or materializing a single event object.  The race
+kernel (:mod:`..core.races`) and the SHB per-variable sweep
+(:mod:`..core.hb1_vc`) read these columns directly; everything else
 sees a lazy :class:`EventView` that materializes (and caches) ordinary
 :class:`SyncEvent`/:class:`ComputationEvent` objects on demand.
 
@@ -336,8 +336,8 @@ class ColumnarTrace(Trace):
 
     ``isinstance(t, Trace)`` holds, and every object-path consumer
     (closure backend, validators, DOT export) works through the lazy
-    :class:`EventView`; the vectorized sweeps detect ``.columns`` and
-    skip object materialization entirely.
+    :class:`EventView`; the race kernel and hb1 construction detect
+    ``.columns`` and skip object materialization entirely.
     """
 
     def __init__(self, *, processor_count: int, memory_size: int,

@@ -11,6 +11,7 @@ numpy exactly like the postmortem pipeline, and round-trip through the
 shared report protocol.
 """
 
+import sys
 from unittest import mock
 
 import pytest
@@ -18,9 +19,7 @@ from hypothesis import given, settings
 
 import repro
 from repro import obs
-from repro.core import hb1_vc
-from repro.core.hb1 import HappensBefore1
-from repro.core.hb1_vc import CyclicHB1Error, VectorClockHB1
+from repro.core.hb1_vc import VectorClockHB1
 from repro.core.predictive import (
     SHBDetector,
     SHBReport,
@@ -28,7 +27,6 @@ from repro.core.predictive import (
     WCPReport,
     WeakCausallyPrecedes,
 )
-from repro.core.races import find_races
 from repro.machine.models import make_model
 from repro.machine.propagation import RandomPropagation, StubbornPropagation
 from repro.machine.simulator import run_program
@@ -45,8 +43,9 @@ from repro.programs import (
 )
 from repro.trace.build import build_trace
 
-from tests.core.test_hb1_cycles import _cyclic_trace
+from tests.core.test_hb1_cycles import _cyclic_trace, _cyclic_trace_with_race
 from tests.properties.test_prop_traces import traces
+from tests.race_oracle import oracle_races
 
 CORPUS = [
     (lambda: racy_counter_program(3, 3), "WO"),
@@ -223,8 +222,8 @@ def test_wcp_contains_baseline_on_generated_traces(trace):
 # ----------------------------------------------------------------------
 
 def test_predictive_backends_survive_missing_numpy():
-    """Without numpy the epoch fallback answers every ordering query;
-    both backends must report the same races either way."""
+    """The race kernel never needs numpy: with numpy made unimportable
+    both backends must report the same races."""
     for build, model in ((lambda: racy_counter_program(3, 3), "WO"),
                          (lock_shadow_program, "WO")):
         trace = _trace_for(build(), model, seed=2)
@@ -232,26 +231,25 @@ def test_predictive_backends_survive_missing_numpy():
             d: _race_keys(repro.detect(trace, detector=d).races)
             for d in ("shb", "wcp")
         }
-        with mock.patch.object(hb1_vc, "_np", None):
+        with mock.patch.dict(sys.modules, {"numpy": None}):
             for d in ("shb", "wcp"):
                 report = repro.detect(trace, detector=d)
                 assert _race_keys(report.races) == with_np[d]
 
 
 def test_predictive_backends_survive_cyclic_hb1():
-    """A cyclic hb1 (§3.1) sends the baseline to the closure backend;
-    the predictive layers must ride along rather than crash — and SHB,
-    whose soundness theorem needs a linearizable order, must certify
-    nothing instead of certifying from a cycle."""
-    trace = _cyclic_trace()
-    with pytest.raises(CyclicHB1Error):
-        VectorClockHB1(trace)
-    base_races = find_races(trace, HappensBefore1(trace))
-    shb = SHBDetector().analyze(trace)
-    assert _race_keys(shb.races) == _race_keys(base_races)
-    assert shb.sound_races == []
-    wcp = WCPDetector().analyze(trace)
-    assert set(_race_keys(base_races)) <= set(_race_keys(wcp.races))
+    """A cyclic hb1 (§3.1) runs through the same kernel on condensation
+    clocks; the predictive layers must ride along rather than crash —
+    and SHB, whose soundness theorem needs a linearizable order, must
+    certify nothing instead of certifying from a cycle."""
+    for trace in (_cyclic_trace(), _cyclic_trace_with_race()):
+        assert not VectorClockHB1(trace).is_partial_order()
+        base_races = oracle_races(trace)
+        shb = SHBDetector().analyze(trace)
+        assert _race_keys(shb.races) == _race_keys(base_races)
+        assert shb.sound_races == []
+        wcp = WCPDetector().analyze(trace)
+        assert set(_race_keys(base_races)) <= set(_race_keys(wcp.races))
 
 
 # ----------------------------------------------------------------------

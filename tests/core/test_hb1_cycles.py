@@ -12,15 +12,21 @@ pairings point in opposite directions across the processors) and check
 that every pipeline stage survives and still produces a sane report.
 """
 
+import pytest
+
+import repro
 from repro.core.detector import PostMortemDetector
 from repro.core.hb1 import HappensBefore1
 from repro.core.partitions import partition_races
+from repro.core.predictive import WeakCausallyPrecedes
 from repro.core.races import find_races
 from repro.graph import find_cycle
 from repro.machine.operations import OperationKind, SyncRole
 from repro.trace.bitvector import BitVector
 from repro.trace.build import Trace
 from repro.trace.events import ComputationEvent, EventId, SyncEvent
+
+from tests.race_oracle import oracle_races
 
 
 def _cyclic_trace() -> Trace:
@@ -53,6 +59,16 @@ def _cyclic_trace() -> Trace:
         },
         model_name="hand-crafted-weak",
     )
+
+
+def _cyclic_trace_with_race() -> Trace:
+    """:func:`_cyclic_trace` plus a third processor writing ``x`` with
+    no synchronization: it races with both cycle members."""
+    trace = _cyclic_trace()
+    p2_comp = ComputationEvent(EventId(2, 0), writes=BitVector([2]))
+    trace.events.append([p2_comp])
+    trace.processor_count = 3
+    return trace
 
 
 def test_hb1_is_cyclic():
@@ -102,12 +118,34 @@ def test_full_detector_on_cyclic_trace():
 def test_cyclic_trace_with_extra_race():
     """Add a third processor racing on x: the race must still surface
     even with the cycle present elsewhere in G'."""
-    trace = _cyclic_trace()
-    p2_comp = ComputationEvent(EventId(2, 0), writes=BitVector([2]))
-    trace.events.append([p2_comp])
-    trace.processor_count = 3
+    trace = _cyclic_trace_with_race()
     report = PostMortemDetector().analyze(trace)
     assert not report.race_free
     # P2's write races with both cycle members (each pair reported).
     assert len(report.data_races) == 2
     assert len(report.first_partitions) == 1
+
+
+def test_oracle_sees_races_with_cycle_members():
+    races = oracle_races(_cyclic_trace_with_race())
+    cycle_members = {EventId(0, 1), EventId(1, 1)}
+    assert any(
+        race.is_data_race and (race.a in cycle_members or race.b in cycle_members)
+        for race in races
+    )
+
+
+@pytest.mark.parametrize(
+    "detector", ["postmortem", "shb", "wcp", "streaming", "naive"]
+)
+@pytest.mark.parametrize("build", [_cyclic_trace, _cyclic_trace_with_race])
+def test_every_detector_equals_oracle_on_cyclic_trace(detector, build):
+    """WCP reports the hb1 races plus those its weaker relation adds,
+    so its oracle is the union of both relations' oracle races."""
+    trace = build()
+    expected = oracle_races(trace)
+    if detector == "wcp":
+        weak = oracle_races(trace, WeakCausallyPrecedes(trace))
+        expected = sorted(set(expected) | set(weak), key=lambda r: (r.a, r.b))
+    report = repro.detect(trace, detector=detector)
+    assert report.races == expected

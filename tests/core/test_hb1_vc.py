@@ -1,10 +1,8 @@
 """Vector-clock hb1 backend tests, including differential equivalence
 with the transitive-closure backend."""
 
-import pytest
-
 from repro.core.hb1 import HappensBefore1
-from repro.core.hb1_vc import CyclicHB1Error, VectorClockHB1
+from repro.core.hb1_vc import VectorClockHB1
 from repro.machine.models import make_model
 from repro.machine.simulator import run_program
 from repro.programs.figure1 import figure1b_program
@@ -58,38 +56,24 @@ def test_own_component_is_position(figure2_trace):
             assert vc.clock_of(event.eid)[event.eid.proc] == event.eid.pos + 1
 
 
-def test_cyclic_trace_rejected():
+def test_cyclic_trace_shares_scc_clocks():
+    """A cyclic hb1 is accepted: each SCC gets one clock, so cycle
+    members are ordered both ways — exactly what the closure says."""
     import tests.core.test_hb1_cycles as cyc
-    trace = cyc._cyclic_trace()
-    with pytest.raises(CyclicHB1Error):
-        VectorClockHB1(trace)
+    trace = cyc._cyclic_trace_with_race()
+    vc = VectorClockHB1(trace)
+    assert not vc.is_partial_order()
+    cycle = [e.eid for e in trace.events[0] + trace.events[1]]
+    assert all(vc.clock_of(a) is vc.clock_of(cycle[0]) for a in cycle)
+    _assert_backends_agree(trace)
 
 
 def test_race_detection_same_with_either_backend(figure2_trace):
-    """find_races only needs unordered(); plugging the VC backend in by
-    duck-typing must give the same race set."""
+    """find_races accepts the closure relation or its vector clocks;
+    either way it reports the oracle's race set."""
     from repro.core.races import find_races
+    from tests.race_oracle import oracle_races
 
-    class _Shim:
-        """Adapts VectorClockHB1 to the closure-based query interface
-        find_races uses (dense-index bulk queries)."""
-
-        def __init__(self, trace):
-            self._vc = VectorClockHB1(trace)
-            self._events = [e.eid for e in trace.all_events()]
-            self._index = {e: i for i, e in enumerate(self._events)}
-            self.closure = self
-
-        def index_of(self, eid):
-            return self._index[eid]
-
-        def ordered_index(self, i, j):
-            return self._vc.ordered(self._events[i], self._events[j])
-
-        def unordered(self, a, b):
-            return self._vc.unordered(a, b)
-
-    baseline = find_races(figure2_trace)
-    shimmed = find_races(figure2_trace, _Shim(figure2_trace))
-    assert [(r.a, r.b, r.locations) for r in baseline] == \
-           [(r.a, r.b, r.locations) for r in shimmed]
+    expected = oracle_races(figure2_trace)
+    assert find_races(figure2_trace, HappensBefore1(figure2_trace)) == expected
+    assert find_races(figure2_trace, VectorClockHB1(figure2_trace)) == expected

@@ -5,7 +5,8 @@ O(P·V) state and no materialized trace must be *byte-identical* to the
 post-mortem hb1 sweep on the same execution — across the workload
 corpus, propagation policies, seeds, hypothesis-generated traces, all
 three source kinds (operation stream, object trace, columnar mmap),
-cyclic sync chains (fallback), and a missing numpy.
+cyclic sync chains (clocks from the hb1 condensation), and a missing
+numpy.
 """
 
 import json
@@ -13,9 +14,9 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
-from repro.core import hb1_vc
 from repro.core.hb1 import HappensBefore1
 from repro.core.races import find_races
 from repro.core.streaming import StreamingDetector, StreamingReport
@@ -36,8 +37,10 @@ from repro.programs import (
 from repro.trace.build import build_trace
 from repro.trace.columnar import open_columnar, to_columnar
 
-from tests.core.test_hb1_cycles import _cyclic_trace
+from tests.core.test_hb1_cycles import _cyclic_trace, _cyclic_trace_with_race
+from tests.properties.test_prop_hb1_vc import sync_chain_traces
 from tests.properties.test_prop_traces import traces
+from tests.race_oracle import oracle_races
 
 CORPUS = [
     (lambda: racy_counter_program(3, 3), "WO"),
@@ -117,25 +120,25 @@ def test_postmortem_columnar_mmap_equals_object_path(build, model, tmp_path):
         json.dumps(obj_json, sort_keys=True)
 
 
-@given(trace=traces())
+@given(trace=st.one_of(traces(), sync_chain_traces()))
 @settings(max_examples=60, deadline=None)
 def test_streaming_equals_postmortem_on_generated_traces(trace):
     base = find_races(trace, HappensBefore1(trace))
     report = StreamingDetector().analyze(trace)
     assert _race_keys(report.races) == _race_keys(base)
+    assert _race_keys(base) == _race_keys(oracle_races(trace))
 
 
 def test_streaming_without_numpy(tmp_path):
-    """The engine itself is pure Python; the fallback postmortem sweep
-    and the columnar read path must both survive a missing numpy."""
+    """The engine and the race kernel are pure Python; the columnar
+    read path must survive a missing numpy too."""
     from repro.trace import columnar
 
     trace = build_trace(_execute(racy_counter_program(3, 3), seed=5))
     path = tmp_path / "t.wrct"
     to_columnar(trace, path)
     base = _race_keys(repro.detect(trace).races)
-    with mock.patch.object(hb1_vc, "_np", None), \
-            mock.patch.object(columnar, "_np", None):
+    with mock.patch.object(columnar, "_np", None):
         with open_columnar(path) as lazy:
             assert _race_keys(
                 repro.detect(lazy, detector="streaming").races
@@ -146,15 +149,15 @@ def test_streaming_without_numpy(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# cyclic chains: the fallback keeps the guarantee
+# cyclic chains: no consumption order, the condensation clocks keep the
+# guarantee
 # ----------------------------------------------------------------------
 
 def test_streaming_cyclic_trace_falls_back_exactly():
-    trace = _cyclic_trace()
-    base = find_races(trace, HappensBefore1(trace))
-    report = StreamingDetector().analyze(trace)
-    assert report.used_fallback
-    assert _race_keys(report.races) == _race_keys(base)
+    for trace in (_cyclic_trace(), _cyclic_trace_with_race()):
+        report = StreamingDetector().analyze(trace)
+        assert report.used_fallback
+        assert _race_keys(report.races) == _race_keys(oracle_races(trace))
 
 
 # ----------------------------------------------------------------------

@@ -97,16 +97,16 @@ def test_env_plan_file_reaches_forked_workers(monkeypatch, tmp_path):
 # ----------------------------------------------------------------------
 
 def test_no_numpy_hunt_still_finds_races():
-    from repro.core import hb1_vc
+    from repro.trace import columnar
 
-    original = hb1_vc._np
+    original = columnar._np
     try:
         faults.install(FaultPlan(no_numpy=True))
         degraded = hunt_races(racy_counter_program(), _wo, tries=6,
                               jobs=1)
-        assert hb1_vc._np is None  # the fault actually applied
+        assert columnar._np is None  # the fault actually applied
     finally:
-        hb1_vc._np = original
+        columnar._np = original
     faults.clear()
     normal = hunt_races(racy_counter_program(), _wo, tries=6, jobs=1)
     # the pure-python fallback is slower but must agree on the physics

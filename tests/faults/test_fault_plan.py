@@ -132,22 +132,22 @@ def test_crash_message_is_attempt_independent():
     assert len(messages) == 1
 
 
-def test_no_numpy_patches_vector_clock_layer():
-    from repro.core import hb1_vc
-    original = hb1_vc._np
+def test_no_numpy_patches_columnar_layer():
+    from repro.trace import columnar
+    original = columnar._np
     try:
         faults.install(FaultPlan(no_numpy=True))
         faults.apply_process_faults()
-        assert hb1_vc._np is None
+        assert columnar._np is None
     finally:
-        hb1_vc._np = original
+        columnar._np = original
 
 
 def test_apply_process_faults_noop_without_plan():
-    from repro.core import hb1_vc
-    original = hb1_vc._np
+    from repro.trace import columnar
+    original = columnar._np
     faults.apply_process_faults()
-    assert hb1_vc._np is original
+    assert columnar._np is original
 
 
 # ----------------------------------------------------------------------

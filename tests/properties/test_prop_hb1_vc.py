@@ -1,7 +1,7 @@
 """Property tests of ``VectorClockHB1.ordered``'s O(1) epoch test.
 
 The epoch test answers ``a hb1 b`` by checking a single component —
-``clock(b)[a.proc] >= clock(a)[a.proc]`` — instead of the full
+``clock(b)[a.proc] >= a.pos+1`` — instead of the full
 pointwise comparison.  That shortcut is only sound if an event's own
 component flows to exactly its hb1 successors, which is where clock
 *merges* (events with several predecessors) and cross-processor so1
@@ -10,7 +10,8 @@ full pointwise comparison and the transitive-closure backend on traces
 engineered to maximize multi-predecessor merges and long so1 chains:
 every sync value is 0, so every release -> acquire pair on a lock forms
 an so1 edge, and acquires that also have a program-order predecessor
-merge two clocks.
+merge two clocks.  Cyclic relations are checked too: their clocks are
+shared per SCC.
 
 The generic-trace generator is reused from
 :mod:`tests.properties.test_prop_traces`.
@@ -20,13 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hb1 import HappensBefore1
-from repro.core.hb1_vc import CyclicHB1Error, VectorClockHB1
+from repro.core.hb1_vc import VectorClockHB1
+from repro.graph.scc import component_map
 from repro.trace.bitvector import BitVector
 from repro.trace.build import Trace
 from repro.trace.events import ComputationEvent, EventId, SyncEvent
 from repro.machine.operations import OperationKind, SyncRole
 
-from tests.properties.test_prop_traces import traces
+from tests.properties.test_prop_traces import reorder_sync_weakly, traces
 
 N_LOCKS = 2
 N_DATA = 3
@@ -84,6 +86,7 @@ def sync_chain_traces(draw):
             value=0, order_pos=len(order),
         ))
         order.append(eid)
+    reorder_sync_weakly(draw, events, sync_order)
 
     return Trace(
         processor_count=nproc,
@@ -104,10 +107,7 @@ def _pointwise_hb(vc, a, b):
 @given(sync_chain_traces())
 @settings(max_examples=200, deadline=None)
 def test_epoch_test_equals_pointwise_comparison(trace):
-    try:
-        vc = VectorClockHB1(trace)
-    except CyclicHB1Error:
-        return
+    vc = VectorClockHB1(trace)
     events = [e.eid for e in trace.all_events()]
     for a in events:
         for b in events:
@@ -119,11 +119,8 @@ def test_epoch_test_equals_pointwise_comparison(trace):
 @settings(max_examples=200, deadline=None)
 def test_epoch_test_matches_closure_on_sync_chains(trace):
     closure = HappensBefore1(trace)
-    try:
-        vc = VectorClockHB1(trace)
-    except CyclicHB1Error:
-        assert not closure.is_partial_order()
-        return
+    vc = VectorClockHB1(trace)
+    assert vc.is_partial_order() == closure.is_partial_order()
     events = [e.eid for e in trace.all_events()]
     for a in events:
         for b in events:
@@ -138,22 +135,26 @@ def test_epoch_test_matches_closure_on_sync_chains(trace):
 def test_merge_is_componentwise_max_over_predecessors(trace):
     """Each clock is the pointwise max of its predecessors' clocks,
     with the event's own component set to its position + 1 — checked
-    directly on events with multiple predecessors (the merges)."""
-    try:
-        vc = VectorClockHB1(trace)
-    except CyclicHB1Error:
-        return
+    directly on events with multiple predecessors (the merges).  On a
+    cyclic relation the rule holds per SCC: the members' predecessors
+    and own positions all join into the one clock they share."""
+    vc = VectorClockHB1(trace)
     nproc = trace.processor_count
+    comp_of = component_map(vc.graph)
+    members = {}
+    for node, comp in comp_of.items():
+        members.setdefault(comp, []).append(node)
     for event in trace.all_events():
         eid = event.eid
         clock = vc.clock_of(eid)
-        preds = list(vc.graph.predecessors(eid))
+        scc = members[comp_of[eid]]
+        preds = [p for m in scc for p in vc.graph.predecessors(m)]
         for i in range(nproc):
             expected = max(
-                (vc.clock_of(p)[i] for p in preds), default=0
+                [vc.clock_of(p)[i] for p in preds]
+                + [m.pos + 1 for m in scc if m.proc == i],
+                default=0,
             )
-            if i == eid.proc:
-                expected = eid.pos + 1
             assert clock[i] == expected, (eid, i, preds)
 
 
@@ -162,10 +163,7 @@ def test_merge_is_componentwise_max_over_predecessors(trace):
 def test_epoch_test_equals_pointwise_on_generic_traces(trace):
     """Same epoch-vs-pointwise equivalence on the unbiased generator
     (arbitrary sync values, so sparser so1 edges)."""
-    try:
-        vc = VectorClockHB1(trace)
-    except CyclicHB1Error:
-        return
+    vc = VectorClockHB1(trace)
     events = [e.eid for e in trace.all_events()]
     for a in events:
         for b in events:
