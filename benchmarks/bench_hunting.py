@@ -19,7 +19,7 @@ import time
 import pytest
 
 from conftest import emit
-from repro.analysis.hunting import hunt_races
+from repro.analysis import hunt_races
 from repro.ioutil import atomic_write_json
 from repro.machine.models import make_model
 from repro.programs.kernels import lock_shadow_program, racy_counter_program

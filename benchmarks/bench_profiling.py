@@ -21,7 +21,7 @@ import time
 
 from conftest import emit
 from repro import obs
-from repro.analysis.hunting import hunt_races
+from repro.analysis import hunt_races
 from repro.machine.models import make_model
 from repro.programs.kernels import racy_counter_program
 
@@ -52,7 +52,7 @@ def _count_disabled_calls() -> dict:
     """Run the workload with counting wrappers around the hot-path
     primitives (still disabled: no profiler or metrics registry is
     active).  ``metrics_active`` counts the metrics layer's one
-    registry lookup per hunt (see repro.analysis.parallel.run_hunt)."""
+    registry lookup per hunt (see repro.analysis.hunt_races)."""
     calls = {"span": 0, "count": 0, "enabled": 0, "metrics_active": 0}
     real = {
         "span": obs.span, "count": obs.count, "enabled": obs.enabled,

@@ -18,7 +18,7 @@ Run:  python examples/lockfree_patterns.py
 """
 
 from repro import ALL_MODEL_NAMES, PostMortemDetector, make_model, run_program
-from repro.analysis.hunting import hunt_races
+from repro.analysis import hunt_races
 from repro.core.timeline import render_timeline
 from repro.programs import (
     cas_counter_program,

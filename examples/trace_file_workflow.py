@@ -14,10 +14,10 @@ Run:  python examples/trace_file_workflow.py
 import os
 import tempfile
 
-from repro import PostMortemDetector, make_model, run_program
+from repro import PostMortemDetector, load_trace, make_model, run_program
 from repro.analysis.metrics import trace_overhead
 from repro.programs import random_racy_program
-from repro.trace import build_trace, read_trace, write_trace
+from repro.trace import build_trace, write_trace
 
 
 def production_run(path: str) -> None:
@@ -35,8 +35,9 @@ def production_run(path: str) -> None:
 
 
 def debugging_session(path: str) -> None:
-    """Phase 2: load the trace file and analyze post-mortem."""
-    trace = read_trace(path)
+    """Phase 2: load the trace file and analyze post-mortem.
+    ``load_trace`` reads any trace format, sniffed by magic bytes."""
+    trace = load_trace(path)
     print(f"[debugger] loaded {trace.event_count} events "
           f"from a {trace.model_name} execution")
     report = PostMortemDetector().analyze(trace)

@@ -13,11 +13,10 @@ from .hunting import (
     HuntResult,
     JobFailure,
     default_policies,
-    hunt_races,
     policies_by_name,
     policy_registry,
 )
-from .parallel import HuntJob, JobOutcome, plan_jobs, run_hunt
+from .parallel import HuntJob, JobOutcome, hunt_races, plan_jobs
 from .outcomes import OutcomeLimit, OutcomeSet, enumerate_outcomes
 from .metrics import (
     DetectionSummary,
@@ -56,7 +55,6 @@ __all__ = [
     "plan_jobs",
     "policies_by_name",
     "policy_registry",
-    "run_hunt",
     "DetectionSummary",
     "RaceAccuracy",
     "TraceOverhead",

@@ -3,7 +3,7 @@
 The paper's pipeline is post-mortem (§4.1): a hunt's value is the
 recorded executions and race statistics it accumulates, so a worker
 crash or a killed parent at try 40k of 50k must never cost the whole
-run.  The engine (:func:`repro.analysis.parallel.run_hunt`) therefore
+run.  The hunt engine (:func:`repro.analysis.hunt_races`) therefore
 periodically persists every *settled* job outcome to a checkpoint
 file; a resumed hunt re-plans the sweep, skips the settled indices,
 and merges restored + fresh outcomes — because each job is a pure

@@ -17,10 +17,12 @@ policy ``i % P``), so per-policy racy rates are directly comparable
 and adding or removing a policy never changes which seeds another
 policy observes.
 
-Execution is delegated to :mod:`repro.analysis.parallel`, which shards
-the (seed, policy) jobs across worker processes when ``jobs > 1`` and
-merges outcomes deterministically — the merged :class:`HuntResult`
-statistics are identical for any worker count.
+This module holds the hunt's policies and result types.  The entry
+point, :func:`repro.analysis.hunt_races`, lives in
+:mod:`repro.analysis.parallel`, which shards the (seed, policy) jobs
+across worker processes when ``jobs > 1`` and merges outcomes
+deterministically — the merged :class:`HuntResult` statistics are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.report import RaceReport
-from ..machine.models.base import MemoryModel
 from ..machine.program import Program
 from ..machine.propagation import (
     EagerPropagation,
@@ -137,10 +138,11 @@ class HuntResult:
     jobs: int = 1
     elapsed: float = 0.0
     stage_profile: Optional[Dict[str, dict]] = None
-    # Analyses served from the per-worker trace cache.  Like jobs and
-    # elapsed, this depends on how jobs landed on workers (each worker
-    # caches independently), so it belongs to the run metadata in
-    # to_json(), never to the deterministic stats()/summary() contract.
+    # Analyses served from the hunt's trace cache.  Like jobs and
+    # elapsed, this depends on how jobs landed on workers (two workers
+    # can both miss on one fingerprint), so it belongs to the run
+    # metadata in to_json(), never to the deterministic
+    # stats()/summary() contract.
     trace_cache_hits: int = 0
     # Recovery metadata.  retried_runs counts retry attempts that
     # preceded the settled outcomes; under real timeouts it is timing-
@@ -328,155 +330,3 @@ class HuntResult:
                 "only (resume with --checkpoint FILE --resume)"
             )
         return "\n".join(lines)
-
-
-def hunt_races(
-    program: Program,
-    model_factory: Callable[[], MemoryModel],
-    tries: int = 24,
-    policies: Optional[Sequence[Tuple[str, PolicyFactory]]] = None,
-    stop_at_first: bool = False,
-    max_steps: int = 200_000,
-    jobs: int = 1,
-    job_timeout: Optional[float] = None,
-    progress: Optional[Callable[[int, int, int], None]] = None,
-    trace_cache: bool = True,
-    on_outcome: Optional[Callable[[object], None]] = None,
-    metrics=None,
-    max_retries: int = 2,
-    retry_backoff: float = 0.05,
-    checkpoint=None,
-    resume: bool = False,
-    checkpoint_interval: int = 100,
-    cancel=None,
-    detector: str = "postmortem",
-    batch_size: Optional[int] = None,
-    hunt_id: Optional[str] = None,
-    verify_robustness: bool = False,
-) -> HuntResult:
-    """Sweep seeds x propagation policies looking for racy executions.
-
-    Args:
-        program: the program under test.
-        model_factory: builds a fresh memory model per run (models are
-            stateless today, but a factory keeps that a non-assumption).
-        tries: total executions.  Enumeration is seed-major — attempt
-            ``i`` runs seed ``i // P`` under policy ``i % P`` — so all
-            ``P`` policies sweep the same seed range (when ``tries`` is
-            a multiple of ``P``, identical seed sets; otherwise the
-            final seed covers only a prefix of the policy list).
-        policies: ``(name, factory)`` pairs; defaults to
-            :func:`default_policies`.  An explicit empty sequence is an
-            error — a hunt with no policies can run nothing.
-        stop_at_first: return as soon as one racy execution is found.
-        max_steps: per-execution simulator step bound (runs that hit it
-            are still analyzed, and counted in ``step_bound_runs``).
-        jobs: worker processes.  ``1`` runs in-process; ``N > 1`` shards
-            jobs across a fork-based pool (see
-            :mod:`repro.analysis.parallel`) with statistics identical
-            to the serial run.
-        job_timeout: optional per-execution wall-clock limit in
-            seconds; a timed-out job is recorded as a failure, not
-            fatal.  Wall-clock limits are inherently nondeterministic —
-            leave unset when exact reproducibility matters.
-        progress: optional callback invoked after every completed job
-            as ``progress(done, total, racy_so_far)`` (the CLI uses it
-            for a live status line).
-        trace_cache: serve repeated analyses from a per-worker cache
-            keyed by the canonical trace fingerprint (the detector is a
-            pure function of the trace, so hits are exact).  Hit counts
-            surface in ``HuntResult.trace_cache_hits`` and the
-            ``trace_cache_hits`` obs counter.  Disable to force every
-            execution through the full pipeline (e.g. when profiling
-            detector stages).
-        on_outcome: optional observer invoked with each
-            :class:`repro.analysis.parallel.JobOutcome` as it
-            completes, in completion order (e.g.
-            ``repro.obs.events.HuntEventLog(...).on_outcome``).
-        metrics: optional :class:`repro.obs.metrics.MetricsRegistry` to
-            fold per-job telemetry into; defaults to whatever registry
-            ``repro.obs.metrics.collect`` has made active, if any.
-        max_retries: retry a transiently failing job up to this many
-            times with exponential backoff before recording it as a
-            :class:`JobFailure`; a job that fails identically twice in
-            a row is classified deterministic and not retried further.
-            ``0`` disables retries.
-        retry_backoff: base backoff delay in seconds (attempt ``n``
-            sleeps ``retry_backoff * 2**(n-1)`` scaled by
-            deterministic seeded jitter).
-        checkpoint: optional path; settled outcomes are periodically
-            persisted there (atomic write), making the hunt resumable
-            after a crash.
-        resume: load *checkpoint* first, validate it against this
-            hunt's spec (program/model/tries/policies/max_steps —
-            mismatch is a :class:`repro.analysis.checkpoint.
-            CheckpointMismatch` hard error), skip settled jobs, and
-            merge restored + fresh outcomes; ``stats()``/``summary()``
-            come out byte-identical to an uninterrupted run.
-        checkpoint_interval: settled outcomes between periodic
-            checkpoint writes (a final write always happens at hunt
-            end).
-        cancel: optional :class:`threading.Event`; once set, dispatch
-            stops, in-flight jobs drain, a final checkpoint is written
-            and the partial result has ``interrupted=True``.
-        detector: analysis backend for every execution — one of
-            :data:`repro.analysis.parallel.HUNT_DETECTORS`
-            (``"postmortem"``, ``"naive"``, ``"shb"``, ``"wcp"``,
-            ``"streaming"``; ``"onthefly"`` needs the operation stream
-            and is not huntable).  ``"streaming"`` analyzes each
-            execution online without materializing a trace, so the
-            trace cache is bypassed.  Part of the checkpoint spec:
-            resuming a checkpoint written by a different detector is a
-            :class:`~repro.analysis.checkpoint.CheckpointMismatch`.
-        batch_size: jobs per pool dispatch batch (``jobs > 1`` only;
-            the serial path has no wire to amortize).  Defaults to an
-            auto size targeting a couple of batches per worker —
-            override only to study the batching/latency trade-off
-            (``1`` reproduces the old job-per-pickle protocol).
-        hunt_id: telemetry correlation id; minted automatically when
-            omitted, overridden by the checkpoint's stored id on a
-            resume.  See :func:`repro.analysis.checkpoint.make_hunt_id`.
-        verify_robustness: attach a robustness verdict
-            (:func:`repro.core.robustness.check_robustness`) to every
-            try.  Verdicts survive batching, checkpoints, and resume;
-            aggregate counts land on the result and any non-robust try
-            downgrades :attr:`HuntResult.soundness` to ``"degraded"``.
-            Part of the checkpoint spec, like the detector.
-    """
-    if tries < 1:
-        raise ValueError("tries must be positive")
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
-    if policies is None:
-        policy_list = default_policies(program.processor_count)
-    else:
-        policy_list = list(policies)
-        if not policy_list:
-            raise ValueError(
-                "policies must not be empty (pass None for the defaults)"
-            )
-    from .parallel import run_hunt
-    return run_hunt(
-        program,
-        model_factory,
-        tries=tries,
-        policies=policy_list,
-        stop_at_first=stop_at_first,
-        max_steps=max_steps,
-        jobs=jobs,
-        job_timeout=job_timeout,
-        progress=progress,
-        trace_cache=trace_cache,
-        on_outcome=on_outcome,
-        metrics=metrics,
-        max_retries=max_retries,
-        retry_backoff=retry_backoff,
-        checkpoint=checkpoint,
-        resume=resume,
-        checkpoint_interval=checkpoint_interval,
-        cancel=cancel,
-        detector=detector,
-        batch_size=batch_size,
-        hunt_id=hunt_id,
-        verify_robustness=verify_robustness,
-    )

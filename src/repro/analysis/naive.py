@@ -9,7 +9,6 @@ can quantify how much the first-partition method narrows the report.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List
 
@@ -17,8 +16,7 @@ from .. import obs
 from ..core.hb1 import HappensBefore1
 from ..core.races import EventRace, find_races
 from ..core.report import REPORT_FORMAT, _race_from_record, _race_record
-from ..machine.simulator import ExecutionResult
-from ..trace.build import Trace, build_trace
+from ..trace.build import Trace
 
 
 @dataclass
@@ -79,12 +77,3 @@ class NaiveDetector:
         with obs.span("detect.naive"):
             hb = HappensBefore1(trace)
             return NaiveReport(trace=trace, races=find_races(trace, hb))
-
-    def analyze_execution(self, result: ExecutionResult) -> NaiveReport:
-        warnings.warn(
-            "NaiveDetector.analyze_execution is deprecated; use "
-            "repro.detect(result, detector='naive')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.analyze(build_trace(result))

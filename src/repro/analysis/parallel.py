@@ -1,9 +1,9 @@
-"""The parallel race-hunting engine.
+"""The race-hunting engine and its entry point, :func:`hunt_races`.
 
 One dynamic run proves nothing (paper §1), so the hunt's currency is
 *executions per second*.  This module turns the seed x policy sweep of
 :mod:`repro.analysis.hunting` into an explicit job list and executes it
-either in-process (``jobs=1`` — today's serial path) or across a
+either in-process (``jobs=1`` — the serial path) or across a
 ``fork``-based :mod:`multiprocessing` pool, with three properties the
 serial loop gets for free and a pool must work for:
 
@@ -40,11 +40,12 @@ coordination as the scaling bottleneck):
   always ships its own).  Per-try span lists never cross the pipe —
   profile spans and the status-independent metric instruments are
   pre-aggregated in the worker and folded once per batch.
-* **Shared trace cache** — the per-worker analysis cache is backed by
-  a fork-safe shared structure (:mod:`repro.analysis.sharedcache`:
-  append-only file, lock-guarded writes, lock-free tail reads), so one
-  worker's analysis of a trace fingerprint serves every other worker
-  and the serial cache hit rate survives ``--jobs``.
+* **Shared trace cache** — the hunt's one analysis cache
+  (:mod:`repro.analysis.sharedcache`) gets a fork-safe shared backend
+  before the pool forks (append-only file, lock-guarded writes,
+  lock-free tail reads), so one worker's analysis of a trace
+  fingerprint serves every other worker and the serial cache hit rate
+  survives ``--jobs``.
 * **In-batch early stop** — workers re-check the cancel flag and the
   racy bound before every job *inside* a batch, so ``stop_at_first``
   and SIGINT draining stay responsive without giving back the batching
@@ -131,7 +132,12 @@ from .checkpoint import (
     load_checkpoint,
     make_hunt_id,
 )
-from .hunting import HuntResult, JobFailure, PolicyFactory
+from .hunting import (
+    HuntResult,
+    JobFailure,
+    PolicyFactory,
+    default_policies,
+)
 
 ProgressCallback = Callable[[int, int, int], None]
 #: Observer hook: called with each JobOutcome as it completes, plus the
@@ -161,19 +167,16 @@ def _analyze(source, detector: str = "postmortem"):
     return detect(source, detector=detector)
 
 
-# Per-process analysis cache: trace fingerprint -> (racy, report
-# digest, race count, certified races).  The detector is a pure
-# function of the trace (see repro.trace.fingerprint), so seeds that
-# collapse to an identical trace need analyzing once; one hunt runs one
-# detector and the cache is cleared per hunt, so the key needs no
-# detector component.  In the fork pool this dict is the L1 of the
-# cross-worker shared cache (see _init_worker): misses fall through to
-# the hunt's append-only shared file, so one worker's analysis serves
-# the others and the hit rate matches the serial run.  Merged
-# *statistics* stay worker-count-independent because a cache hit
-# returns the exact result the analysis would have produced.
-_TRACE_CACHE: Dict[str, Tuple[bool, str, int, int]] = {}
-_TRACE_CACHE_MAX = 4096
+def _report_summary(report) -> sharedcache.CacheValue:
+    """What the merge needs from a report, in the trace cache's value
+    shape: (racy, report digest, race count, certified races)."""
+    racy = not report.race_free
+    return (
+        racy,
+        report.format() if racy else "",
+        len(report.races),
+        getattr(report, "certified_race_count", 0) if racy else 0,
+    )
 
 
 @dataclass(frozen=True)
@@ -436,8 +439,20 @@ class _HuntState:
         self.max_steps = max_steps
         self.job_timeout = job_timeout
         self.profile = profile
-        self.trace_cache = trace_cache
         self.detector = detector
+        # One analysis cache per hunt, keyed by trace fingerprint: the
+        # detector is a pure function of the trace (see
+        # repro.trace.fingerprint), so seeds that collapse to one trace
+        # need analyzing once, and a hunt runs one detector, so the key
+        # needs no detector component.  A hit returns exactly what the
+        # analysis would, so merged statistics never depend on it.
+        # Memory-only unless the pool executor gives it a shared file
+        # (see repro.analysis.sharedcache).  Streaming detection never
+        # builds a trace, so there is nothing to fingerprint.
+        self.cache: Optional[sharedcache.SharedTraceCache] = (
+            sharedcache.SharedTraceCache()
+            if trace_cache and detector != "streaming" else None
+        )
         # True when the parent has a metrics registry collecting: batch
         # workers then pre-fold the status-independent instruments
         # (durations, cache hits) and ship them once per batch.
@@ -496,46 +511,20 @@ def _execute_job_inner(
             report = None
             cache_hit = False
             fingerprint = ""
-            # streaming detection consumes the operation stream online
-            # and never builds a trace — so there is nothing to
-            # fingerprint and the trace cache is bypassed
-            use_cache = state.trace_cache and state.detector != "streaming"
-            if use_cache:
+            cache = state.cache
+            if cache is None:
+                report = _analyze(execution, state.detector)
+                summary = _report_summary(report)
+            else:
                 trace = build_trace(execution)
                 fingerprint = trace_fingerprint(trace)
-                shared = _SHARED_CACHE
-                cached = (
-                    shared.get(fingerprint) if shared is not None
-                    else _TRACE_CACHE.get(fingerprint)
-                )
-                if cached is None:
+                summary = cache.get(fingerprint)
+                cache_hit = summary is not None
+                if not cache_hit:
                     report = _analyze(trace, state.detector)
-                    racy = not report.race_free
-                    digest = report.format() if racy else ""
-                    race_count = len(report.races)
-                    certified = (
-                        getattr(report, "certified_race_count", 0)
-                        if racy else 0
-                    )
-                    value = (racy, digest, race_count, certified)
-                    if shared is not None:
-                        shared.put(fingerprint, value)
-                    else:
-                        if len(_TRACE_CACHE) >= _TRACE_CACHE_MAX:
-                            _TRACE_CACHE.clear()
-                        _TRACE_CACHE[fingerprint] = value
-                else:
-                    cache_hit = True
-                    racy, digest, race_count, certified = cached
-            else:
-                report = _analyze(execution, state.detector)
-                racy = not report.race_free
-                digest = report.format() if racy else ""
-                race_count = len(report.races)
-                certified = (
-                    getattr(report, "certified_race_count", 0)
-                    if racy else 0
-                )
+                    summary = _report_summary(report)
+                    cache.put(fingerprint, summary)
+            racy, digest, race_count, certified = summary
             # The robustness verdict consumes the operation stream
             # (reads-from never reaches the trace — §4.1), so the
             # trace cache cannot serve it; it runs per execution,
@@ -594,24 +583,15 @@ _WORKER_STATE: Optional[_HuntState] = None
 _WORKER_STOP = None  # multiprocessing.Value: lowest racy index, -1 = none
 _WORKER_CANCEL = None  # multiprocessing.Value: 1 = drain, don't start work
 _WORKER_BEST = None  # multiprocessing.Value: lowest racy index seen anywhere
-_SHARED_CACHE: Optional[sharedcache.SharedTraceCache] = None
 
 
-def _init_worker(state: _HuntState, stop_at, cancel_flag, best_racy,
-                 cache_path, cache_lock) -> None:
+def _init_worker(state: _HuntState, stop_at, cancel_flag,
+                 best_racy) -> None:
     global _WORKER_STATE, _WORKER_STOP, _WORKER_CANCEL, _WORKER_BEST
-    global _SHARED_CACHE
     _WORKER_STATE = state
     _WORKER_STOP = stop_at
     _WORKER_CANCEL = cancel_flag
     _WORKER_BEST = best_racy
-    _SHARED_CACHE = (
-        sharedcache.SharedTraceCache(
-            cache_path, cache_lock, local=_TRACE_CACHE,
-            max_entries=_TRACE_CACHE_MAX,
-        )
-        if cache_path is not None else None
-    )
     # The parent orchestrates interrupts (drain + checkpoint); a
     # terminal Ctrl+C or a process-group SIGTERM reaches the workers
     # too, and workers dying mid-job would turn a graceful stop into
@@ -769,17 +749,25 @@ class _PoolExecutor:
         # stops at the first race.
         self.best_racy = ctx.Value("i", seed)
         self.cancel_flag = ctx.Value("i", 0)
-        self.cache_path = None
-        cache_lock = None
-        if state.trace_cache and state.detector != "streaming":
-            self.cache_path = sharedcache.create_cache_file()
-            cache_lock = ctx.Lock()
+        # The hunt's cache gets its shared file before the fork, so
+        # every worker inherits the same backend and one worker's
+        # analysis serves the others.
+        self.cache = state.cache
+        if self.cache is not None:
+            self.cache.share(sharedcache.create_cache_file(), ctx.Lock())
+        before = set(multiprocessing.active_children())
         self.pool = ctx.Pool(
             processes=workers,
             initializer=_init_worker,
             initargs=(state, self.stop_at, self.cancel_flag,
-                      self.best_racy, self.cache_path, cache_lock),
+                      self.best_racy),
         )
+        # The workers the pool started, found through public API: what
+        # close() walks if Pool's private worker list is ever reshaped.
+        self.started = [
+            proc for proc in multiprocessing.active_children()
+            if proc not in before
+        ]
 
     def run(self, jobs: Sequence[HuntJob]) -> Iterator[JobOutcome]:
         jobs = list(jobs)
@@ -818,40 +806,37 @@ class _PoolExecutor:
 
     def close(self) -> None:
         # Cooperative shutdown.  Workers ignore SIGINT/SIGTERM (the
-        # parent orchestrates draining), so pool.terminate()'s SIGTERM
-        # would be ignored and its join would hang; close() hands the
-        # workers exit sentinels instead, which they always honor once
-        # the (already drained) task queue is empty.  A worker wedged
-        # inside a job — an injected hang with no job_timeout — gets
-        # SIGKILL after a grace period rather than hanging the hunt.
+        # parent orchestrates draining), so Pool.terminate() can hang:
+        # its SIGTERM is ignored, its queue drain can swallow the exit
+        # sentinels of idle workers, and its joins have no deadline.
+        # close() hands the workers exit sentinels instead, which they
+        # always honor once the (already drained) task queue is empty.
+        # A worker wedged inside a job — an injected hang with no
+        # job_timeout — gets SIGKILL after a grace period rather than
+        # hanging the hunt.
         #
-        # The grace-period walk reads Pool's private worker list; that
-        # is deliberate (there is no public "join with timeout"), but
-        # it must degrade, not raise, if a future stdlib reshapes the
-        # attribute — terminate() is then safe because the task queue
-        # is already drained.
+        # The grace-period walk reads Pool's private worker list, which
+        # includes workers the pool started to replace dead ones; if a
+        # future stdlib reshapes the attribute, the walk falls back to
+        # the workers seen at start-up instead of raising.
         try:
-            try:
-                self.pool.close()
-                procs = getattr(self.pool, "_pool", None)
-                if not isinstance(procs, (list, tuple)):
-                    raise AttributeError("Pool._pool is not a process list")
-                deadline = time.monotonic() + 5.0
-                for proc in procs:
-                    proc.join(max(0.0, deadline - time.monotonic()))
-                for proc in procs:
-                    if proc.is_alive():
-                        proc.kill()
-            except Exception:
-                self.pool.terminate()
+            self.pool.close()
+            procs = getattr(self.pool, "_pool", None)
+            if not isinstance(procs, (list, tuple)):
+                procs = self.started
+            deadline = time.monotonic() + 5.0
+            for proc in procs:
+                proc.join(max(0.0, deadline - time.monotonic()))
+            for proc in procs:
+                if proc.is_alive():
+                    proc.kill()
             try:
                 self.pool.join()
             except Exception:
                 pass  # Pool.join walks the same private list; degrade
         finally:
-            if self.cache_path is not None:
-                sharedcache.remove_cache_file(self.cache_path)
-                self.cache_path = None
+            if self.cache is not None:
+                self.cache.unshare()
 
 
 # ----------------------------------------------------------------------
@@ -1173,15 +1158,14 @@ def _prime_hunt_metrics(registry, hunt_id: str, detector: str,
 
 
 # ----------------------------------------------------------------------
-# engine entry point
+# the hunt entry point
 # ----------------------------------------------------------------------
 
-def run_hunt(
+def hunt_races(
     program: Program,
     model_factory: Callable[[], MemoryModel],
-    *,
-    tries: int,
-    policies: Sequence[Tuple[str, PolicyFactory]],
+    tries: int = 24,
+    policies: Optional[Sequence[Tuple[str, PolicyFactory]]] = None,
     stop_at_first: bool = False,
     max_steps: int = 200_000,
     jobs: int = 1,
@@ -1201,63 +1185,118 @@ def run_hunt(
     hunt_id: Optional[str] = None,
     verify_robustness: bool = False,
 ) -> HuntResult:
-    """Execute the seed x policy sweep on *jobs* workers and merge.
+    """Sweep seeds x propagation policies looking for racy executions.
 
-    The public entry point is
-    :func:`repro.analysis.hunting.hunt_races`; this is the engine
-    underneath it.  *progress*, if given, is called after every
-    completed job as ``progress(done, total, racy_so_far)``.
-    *on_outcome*, if given, receives each :class:`JobOutcome` as it
-    completes, in completion order (the event log's feed) — including
-    ``status="retried"`` attempts that a later retry superseded.
+    The jobs of :func:`plan_jobs` run in-process (``jobs=1``) or across
+    a fork pool, and their outcomes merge in canonical job order, so
+    the statistics are identical for any worker count (see the module
+    docstring).
 
-    When a :mod:`repro.obs` profiler is active, every job (in-process
-    or forked) records per-stage spans into a job-local profiler; fork
-    workers fold a whole batch's spans into per-span-path aggregates
-    before shipping, and the parent merges one aggregate map per batch
-    (plus the serial path's per-job records) onto the active profiler
-    and ``HuntResult.stage_profile``.  Likewise, when a
-    :mod:`repro.obs.metrics` registry is collecting (or one is passed
-    as *metrics*), workers pre-fold the status-independent instruments
-    per batch and the parent folds the status counter and gauges per
-    job — one module-attribute check per hunt, so the disabled path
-    stays free.
+    When a :mod:`repro.obs` profiler is active, every job records
+    per-stage spans into a job-local profiler; fork workers fold a
+    whole batch's spans into per-span-path aggregates before shipping,
+    and the parent merges them onto the active profiler and
+    ``HuntResult.stage_profile``.  Likewise, when a
+    :mod:`repro.obs.metrics` registry collects (or one is passed as
+    *metrics*), workers pre-fold the status-independent instruments per
+    batch and the parent folds the status counter and gauges per job —
+    one module-attribute check per hunt, so the disabled path stays
+    free.
 
-    Recovery knobs: *max_retries*/*retry_backoff* govern transient
-    failure retries; *checkpoint*/*resume*/*checkpoint_interval* the
-    durable progress file; *cancel* a cooperative stop that drains
-    in-flight jobs and leaves ``result.interrupted`` set.  See the
-    module docstring.
-
-    *batch_size* overrides the dispatch batch sizing of the pool path
-    (:func:`plan_batches`); the default targets a couple of batches
-    per worker.  ``jobs=1`` ignores it — the serial loop has no wire
-    to amortize.
-
-    *detector* picks the analysis backend for every job (one of
-    :data:`HUNT_DETECTORS`; ``"onthefly"`` is excluded because hunts
-    analyze traces, not operation streams).  ``"streaming"`` consumes
-    each execution's operation stream online with O(P·V) state and
-    never materializes a trace (the trace cache is bypassed).  The
-    detector is part of the checkpoint's hunt identity — resuming with
-    a different one is a
-    :class:`~repro.analysis.checkpoint.CheckpointMismatch`.
-
-    *hunt_id* is the run's telemetry correlation id
-    (:func:`~repro.analysis.checkpoint.make_hunt_id`); one is minted
-    when the caller passes none.  On a resume the checkpoint's stored
-    id always wins, so a resumed hunt's metrics, events, and results
-    join with the interrupted run's.  The id lands on
-    ``HuntResult.hunt_id``, in every checkpoint write, and — when a
-    registry collects — on the ``hunt_info`` gauge.
-
-    *verify_robustness* attaches a robustness verdict
-    (:func:`repro.core.robustness.check_robustness`) to every try:
-    verdicts ride each outcome (surviving batching, checkpoints, and
-    resume), fold into ``hunt_robust_tries_total{model,verdict}``, and
-    aggregate on the result — any non-robust try downgrades the
-    result's soundness claim (see :attr:`HuntResult.soundness`).  Part
-    of the checkpoint spec, like the detector.
+    Args:
+        program: the program under test.
+        model_factory: builds a fresh memory model per run (models are
+            stateless today, but a factory keeps that a non-assumption).
+        tries: total executions.  Enumeration is seed-major — attempt
+            ``i`` runs seed ``i // P`` under policy ``i % P`` — so all
+            ``P`` policies sweep the same seed range (when ``tries`` is
+            a multiple of ``P``, identical seed sets; otherwise the
+            final seed covers only a prefix of the policy list).
+        policies: ``(name, factory)`` pairs; defaults to
+            :func:`default_policies`.  An explicit empty sequence is an
+            error — a hunt with no policies can run nothing.
+        stop_at_first: return as soon as one racy execution is found.
+        max_steps: per-execution simulator step bound (runs that hit it
+            are still analyzed, and counted in ``step_bound_runs``).
+        jobs: worker processes.  ``1`` runs in-process; ``N > 1`` shards
+            jobs across a fork-based pool with statistics identical to
+            the serial run.
+        job_timeout: optional per-execution wall-clock limit in
+            seconds; a timed-out job is recorded as a failure, not
+            fatal.  Wall-clock limits are inherently nondeterministic —
+            leave unset when exact reproducibility matters.
+        progress: optional callback invoked after every completed job
+            as ``progress(done, total, racy_so_far)`` (the CLI uses it
+            for a live status line).
+        trace_cache: serve repeated analyses from the hunt's
+            :class:`~repro.analysis.sharedcache.SharedTraceCache`, keyed
+            by the canonical trace fingerprint (the detector is a pure
+            function of the trace, so hits are exact).  Every hunt
+            starts with an empty cache; pool workers share it through
+            a file that lives as long as the pool.  Hit counts
+            surface in ``HuntResult.trace_cache_hits`` and the
+            ``trace_cache_hits`` obs counter.  Disable to force every
+            execution through the full pipeline (e.g. when profiling
+            detector stages).
+        on_outcome: optional observer invoked with each
+            :class:`JobOutcome` as it completes, in completion order,
+            including ``status="retried"`` attempts that a later retry
+            superseded (e.g. ``repro.obs.events.HuntEventLog(...)
+            .on_outcome``).
+        metrics: optional :class:`repro.obs.metrics.MetricsRegistry` to
+            fold per-job telemetry into; defaults to whatever registry
+            ``repro.obs.metrics.collect`` has made active, if any.
+        max_retries: retry a transiently failing job up to this many
+            times with exponential backoff before recording it as a
+            :class:`JobFailure`; a job that fails identically twice in
+            a row is classified deterministic and not retried further.
+            ``0`` disables retries.
+        retry_backoff: base backoff delay in seconds (attempt ``n``
+            sleeps ``retry_backoff * 2**(n-1)`` scaled by
+            deterministic seeded jitter).
+        checkpoint: optional path; settled outcomes are periodically
+            persisted there (atomic write), making the hunt resumable
+            after a crash.
+        resume: load *checkpoint* first, validate it against this
+            hunt's spec (program/model/tries/policies/max_steps —
+            mismatch is a :class:`repro.analysis.checkpoint.
+            CheckpointMismatch` hard error), skip settled jobs, and
+            merge restored + fresh outcomes; ``stats()``/``summary()``
+            come out byte-identical to an uninterrupted run.
+        checkpoint_interval: settled outcomes between periodic
+            checkpoint writes (a final write always happens at hunt
+            end).
+        cancel: optional :class:`threading.Event`; once set, dispatch
+            stops, in-flight jobs drain, a final checkpoint is written
+            and the partial result has ``interrupted=True``.
+        detector: analysis backend for every execution — one of
+            :data:`HUNT_DETECTORS`
+            (``"postmortem"``, ``"naive"``, ``"shb"``, ``"wcp"``,
+            ``"streaming"``; ``"onthefly"`` needs the operation stream
+            and is not huntable).  ``"streaming"`` analyzes each
+            execution online without materializing a trace, so the
+            trace cache is bypassed.  Part of the checkpoint spec:
+            resuming a checkpoint written by a different detector is a
+            :class:`~repro.analysis.checkpoint.CheckpointMismatch`.
+        batch_size: jobs per pool dispatch batch (:func:`plan_batches`;
+            ``jobs > 1`` only, the serial path has no wire to
+            amortize).  Defaults to an
+            auto size targeting a couple of batches per worker —
+            override only to study the batching/latency trade-off
+            (``1`` reproduces the old job-per-pickle protocol).
+        hunt_id: telemetry correlation id; minted automatically when
+            omitted, overridden by the checkpoint's stored id on a
+            resume, so a resumed hunt's metrics, events and results join
+            the interrupted run's.  The id lands on ``HuntResult.hunt_id``,
+            in every checkpoint write and, when a registry collects, on
+            the ``hunt_info`` gauge.  See
+            :func:`repro.analysis.checkpoint.make_hunt_id`.
+        verify_robustness: attach a robustness verdict
+            (:func:`repro.core.robustness.check_robustness`) to every
+            try.  Verdicts survive batching, checkpoints, and resume;
+            aggregate counts land on the result and any non-robust try
+            downgrades :attr:`HuntResult.soundness` to ``"degraded"``.
+            Part of the checkpoint spec, like the detector.
     """
     if tries < 1:
         raise ValueError("tries must be positive")
@@ -1278,9 +1317,14 @@ def run_hunt(
             f"unknown hunt detector {detector!r}; "
             f"known: {', '.join(HUNT_DETECTORS)}"
         )
-    policy_list = list(policies)
-    if not policy_list:
-        raise ValueError("policies must not be empty")
+    if policies is None:
+        policy_list = default_policies(program.processor_count)
+    else:
+        policy_list = list(policies)
+        if not policy_list:
+            raise ValueError(
+                "policies must not be empty (pass None for the defaults)"
+            )
     policy_names = [name for name, _ in policy_list]
     job_plan = plan_jobs(tries, policy_names)
 
@@ -1326,10 +1370,6 @@ def run_hunt(
                        trace_cache=trace_cache, detector=detector,
                        collect_metrics=registry is not None,
                        verify_robustness=verify_robustness)
-    # Start every hunt cold so hit counts describe this hunt alone and
-    # memory is bounded; workers inherit the empty L1 through fork and
-    # share fresh analyses through the hunt's shared cache file.
-    _TRACE_CACHE.clear()
     workers = min(jobs, max(len(job_plan), 1))
     if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
         workers = 1  # factories may be closures; spawn cannot ship them

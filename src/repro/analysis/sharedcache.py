@@ -1,12 +1,14 @@
-"""A cross-worker trace-analysis cache for the fork-pool hunt engine.
+"""The hunt's trace-analysis cache, shareable across fork workers.
 
-The per-worker dict cache (:data:`repro.analysis.parallel._TRACE_CACHE`)
-fragments under ``--jobs``: every worker must pay one analysis per
-distinct trace fingerprint, so a workload whose serial hit rate is 0.90
-drops toward ``1 - workers * distinct / tries`` in a pool.  This module
-restores the serial hit rate by sharing *analysis digests* — never live
-reports — across workers through a structure every fork-safe process
-can use:
+Every hunt creates one :class:`SharedTraceCache`.  A serial hunt uses
+it memory-only: a dict keyed by trace fingerprint, so a hit is one
+lookup and a miss does no file I/O.  A pool hunt gives the same object
+a shared file before forking.  Without it, each worker would pay one
+analysis per distinct trace fingerprint, so a workload whose serial hit
+rate is 0.90 would drop toward ``1 - workers * distinct / tries`` in a
+pool.  The shared file restores the serial hit rate by sharing
+*analysis digests* — never live reports — across workers through a
+structure every fork-safe process can use:
 
 * an **append-only JSONL file** of ``[fingerprint, racy, digest,
   race_count, certified_races]`` entries, created by the hunt parent
@@ -14,7 +16,7 @@ can use:
 * a **lock-guarded write path** (one :class:`multiprocessing.Lock`
   serializes appends, each a single flushed ``write()``), so records
   never interleave;
-* a **lock-free read path**: a worker that misses its local dict reads
+* a **lock-free read path**: a worker that misses the dict reads
   the file tail past its own offset and folds only *complete* lines
   (everything up to the final newline), so a read racing an append sees
   the previous consistent prefix, never a torn record.
@@ -26,7 +28,7 @@ values and the last one folded wins.
 
 The cache stores exactly what the hunt's merge needs (the racy flag,
 the report digest, and the race counts) and is deleted with the hunt
-that created it; nothing here outlives a single ``run_hunt`` call.
+that created it; nothing here outlives a single ``hunt_races`` call.
 """
 
 from __future__ import annotations
@@ -36,39 +38,51 @@ import os
 from typing import Dict, Optional, Tuple
 
 #: What one cached analysis is: (racy, report digest, race count,
-#: certified race count) — the tuple the per-worker cache already kept.
+#: certified race count).
 CacheValue = Tuple[bool, str, int, int]
 
 
 class SharedTraceCache:
-    """Fingerprint-keyed analysis digests shared across fork workers.
+    """Fingerprint-keyed analysis digests, optionally shared across
+    fork workers.
 
-    *local* is the L1 dict (hits never touch the file); *path* is the
-    shared JSONL file; *lock* guards appends.  ``max_entries`` bounds
-    the L1 exactly like the per-worker cache it replaces: on overflow
-    the local dict is cleared (the file keeps serving refreshed
+    *local* is the in-process dict (hits never touch the file); *path*
+    is the shared JSONL file, ``None`` while the cache is memory-only;
+    *lock* guards appends.  ``max_entries`` bounds the dict: on
+    overflow it is cleared (a shared file keeps serving refreshed
     entries, so correctness never depends on the bound).
     """
 
-    def __init__(
-        self,
-        path: str,
-        lock,
-        local: Optional[Dict[str, CacheValue]] = None,
-        max_entries: int = 4096,
-    ) -> None:
+    max_entries = 4096
+
+    def __init__(self) -> None:
+        self.path: Optional[str] = None
+        self.lock = None
+        self.local: Dict[str, CacheValue] = {}
+        self._offset = 0  # bytes of the shared file already folded
+
+    def share(self, path: str, lock) -> None:
+        """Back the cache with the shared file at *path*, appended under
+        *lock*.  The pool parent calls this before forking, so every
+        worker inherits the same backend."""
         self.path = path
         self.lock = lock
-        self.local: Dict[str, CacheValue] = local if local is not None else {}
-        self.max_entries = max_entries
-        self._offset = 0  # bytes of the shared file already folded
+        self._offset = 0
+
+    def unshare(self) -> None:
+        """Delete the shared file at hunt teardown; the cache is
+        memory-only again."""
+        if self.path is not None:
+            remove_cache_file(self.path)
+            self.path = None
 
     # -- read path -----------------------------------------------------
     def get(self, fingerprint: str) -> Optional[CacheValue]:
         """The cached analysis for *fingerprint*, consulting the local
-        dict first and refreshing from the shared file on a miss."""
+        dict first and, when shared, refreshing from the file on a
+        miss."""
         value = self.local.get(fingerprint)
-        if value is not None:
+        if value is not None or self.path is None:
             return value
         self._refresh()
         return self.local.get(fingerprint)
@@ -103,9 +117,11 @@ class SharedTraceCache:
 
     # -- write path ----------------------------------------------------
     def put(self, fingerprint: str, value: CacheValue) -> None:
-        """Record one fresh analysis locally and append it to the
-        shared file under the lock."""
+        """Record one fresh analysis locally and, when shared, append it
+        to the file under the lock."""
         self._store_local(fingerprint, value)
+        if self.path is None:
+            return
         racy, digest, races, certified = value
         line = json.dumps(
             [fingerprint, bool(racy), digest, int(races), int(certified)],

@@ -334,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     hunt_p.add_argument(
         "--no-cache", action="store_true",
-        help="disable the per-worker trace-fingerprint analysis cache "
+        help="disable the hunt's trace-fingerprint analysis cache "
              "(every execution runs the full detection pipeline)",
     )
     hunt_p.add_argument(
@@ -749,9 +749,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         import signal
         import threading
         from .analysis.checkpoint import (
-            CheckpointError, make_hunt_id, peek_hunt_id,
+            CheckpointError, hunt_spec, make_hunt_id, peek_hunt_id,
         )
-        from .analysis.hunting import hunt_races, policies_by_name
+        from .analysis.hunting import default_policies, policies_by_name
+        from .analysis.parallel import hunt_races
         from .obs import events as obs_events
         from .obs import metrics as obs_metrics
         from .obs.live import HuntStatusLine
@@ -760,21 +761,29 @@ def _dispatch(args: argparse.Namespace) -> int:
             print("hunt: --resume requires --checkpoint FILE",
                   file=sys.stderr)
             return 2
+        try:
+            policies = (
+                policies_by_name(args.policies, program.processor_count)
+                if args.policies
+                else default_policies(program.processor_count)
+            )
+        except ValueError as exc:
+            print(f"hunt: {exc}", file=sys.stderr)
+            return 2
         # Resolve the hunt id up front so every surface that mentions
         # it — events meta, /status, profile meta, checkpoint, the
         # final JSON — agrees.  On resume the checkpoint's stored id
-        # wins (run_hunt enforces the same precedence).
+        # wins (hunt_races enforces the same precedence).
         hunt_id = None
         if args.resume and args.checkpoint_path:
             hunt_id = peek_hunt_id(args.checkpoint_path)
         if hunt_id is None:
-            hunt_id = make_hunt_id({
-                "workload": args.workload,
-                "model": args.model,
-                "detector": args.detector,
-                "tries": args.tries,
-                "policies": args.policies or "default",
-            })
+            hunt_id = make_hunt_id(hunt_spec(
+                program, make_model(args.model).name, args.tries,
+                [name for name, _ in policies], args.max_steps,
+                args.stop_at_first, detector=args.detector,
+                verify_robustness=args.verify_robustness,
+            ))
         args._hunt_id = hunt_id
         serve_address = None
         if args.serve_address:
@@ -845,10 +854,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         for signum in (signal.SIGINT, signal.SIGTERM):
             previous_handlers[signum] = signal.signal(signum, _interrupt)
         try:
-            policies = (
-                policies_by_name(args.policies, program.processor_count)
-                if args.policies else None
-            )
             result = hunt_races(
                 program,
                 lambda: make_model(args.model),

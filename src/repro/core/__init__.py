@@ -10,7 +10,7 @@ from .affects import (
     race_affects_race,
 )
 from .augmented import build_augmented_graph, race_edge_list
-from .detector import PostMortemDetector, detect
+from .detector import PostMortemDetector
 from .explain import RaceExplanation, explain_race, explain_report
 from .hb1 import HappensBefore1
 from .hb1_vc import CyclicHB1Error, VectorClockHB1
@@ -22,7 +22,6 @@ from .onthefly import (
 )
 from .onthefly_first import (
     FirstRaceOnTheFlyDetector,
-    locate_first_races_on_the_fly,
 )
 from .ophb import OpHappensBefore, OpRace, build_op_augmented, find_op_races
 from .partitions import PartitionAnalysis, RacePartition, partition_races
@@ -59,7 +58,6 @@ __all__ = [
     "build_augmented_graph",
     "race_edge_list",
     "PostMortemDetector",
-    "detect",
     "RaceExplanation",
     "explain_race",
     "explain_report",
@@ -76,7 +74,6 @@ __all__ = [
     "OnTheFlyReport",
     "detect_on_the_fly",
     "FirstRaceOnTheFlyDetector",
-    "locate_first_races_on_the_fly",
     "OpHappensBefore",
     "OpRace",
     "build_op_augmented",

@@ -25,8 +25,7 @@ prototype's first set against the post-mortem first partitions.
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..machine.operations import MemoryOperation
 from .onthefly import OnTheFlyDetector, OnTheFlyRace, _Access
@@ -78,32 +77,3 @@ class FirstRaceOnTheFlyDetector(OnTheFlyDetector):
         # the clock propagation).
         self._seed(access.proc, access.tick)
         self._seed(op.proc, current_clock[op.proc])
-
-
-def locate_first_races_on_the_fly(
-    operations: List[MemoryOperation],
-    processor_count: int,
-    reader_history: int = 4,
-    writer_history: int = 1,
-) -> Dict[str, List[OnTheFlyRace]]:
-    """One streaming pass; returns ``{"first": [...], "non_first": [...]}``.
-
-    .. deprecated::
-        Use ``repro.detect(result, detector="onthefly")``, which
-        returns an :class:`~repro.core.onthefly.OnTheFlyReport` in the
-        shared report protocol.
-    """
-    warnings.warn(
-        "locate_first_races_on_the_fly is deprecated; use "
-        "repro.detect(result, detector='onthefly')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    detector = FirstRaceOnTheFlyDetector(
-        processor_count, reader_history, writer_history
-    )
-    detector.process_all(operations)
-    return {
-        "first": detector.first_races,
-        "non_first": detector.non_first_races,
-    }

@@ -104,7 +104,7 @@ class HuntEventLog:
     """The hunt's event stream: one ``try`` record per job outcome.
 
     ``on_outcome`` plugs straight into
-    :func:`repro.analysis.hunting.hunt_races`'s hook of the same name;
+    :func:`repro.analysis.hunt_races`'s hook of the same name;
     stage aggregates and the closing summary are appended by the CLI
     once the merged :class:`~repro.analysis.hunting.HuntResult` exists.
     """

@@ -32,7 +32,7 @@ per-outcome metrics into a registry only when one is active (one
 module-attribute check per *hunt*, not per job), so the disabled-mode
 overhead budget of ``benchmarks/bench_profiling.py`` is unaffected.
 
-Hunt metric names (written by :func:`repro.analysis.parallel.run_hunt`,
+Hunt metric names (written by :func:`repro.analysis.hunt_races`,
 read by :class:`repro.obs.live.HuntStatusLine`):
 
 =============================  =========  ==================================

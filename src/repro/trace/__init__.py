@@ -4,7 +4,6 @@ execution, and trace-file serialization for post-mortem analysis."""
 
 from .binfile import (
     BinaryTraceError,
-    read_binary_trace,
     write_binary_trace,
 )
 from .bitvector import BitVector
@@ -28,12 +27,11 @@ from .events import (
     involves_data,
 )
 from .fingerprint import trace_fingerprint
-from .tracefile import TraceFormatError, read_trace, write_trace
+from .tracefile import TraceFormatError, write_trace
 from .validate import InvalidTraceError, require_valid_trace, validate_trace
 
 __all__ = [
     "BinaryTraceError",
-    "read_binary_trace",
     "write_binary_trace",
     "ColumnarTrace",
     "ColumnarTraceError",
@@ -58,7 +56,6 @@ __all__ = [
     "InvalidTraceError",
     "require_valid_trace",
     "validate_trace",
-    "read_trace",
     "write_trace",
     "trace_fingerprint",
 ]

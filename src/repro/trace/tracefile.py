@@ -11,7 +11,6 @@ compactness argument of section 4.1.
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 from typing import Dict, List, Union
 
@@ -186,24 +185,8 @@ def _parse_trace_lines(lines: List[str], label: str) -> Trace:
 
 
 def _read_trace(path: Union[str, Path]) -> Trace:
-    """Internal, warning-free loader used by :func:`repro.load_trace`."""
+    """The JSON-lines loader behind :func:`repro.load_trace`."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         lines = [line for line in fh if line.strip()]
     return _parse_trace_lines(lines, str(path))
-
-
-def read_trace(path: Union[str, Path]) -> Trace:
-    """Load a trace previously written by :func:`write_trace`.
-
-    .. deprecated::
-        Call :func:`repro.load_trace` instead — it sniffs the format
-        (columnar, binary, JSON-lines) from the magic bytes.
-    """
-    warnings.warn(
-        "read_trace is deprecated; use repro.load_trace, which "
-        "auto-detects the trace format",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _read_trace(path)

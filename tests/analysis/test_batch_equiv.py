@@ -19,14 +19,14 @@ import threading
 import pytest
 
 from repro import faults
-from repro.analysis import sharedcache
-from repro.analysis.hunting import hunt_races
+from repro.analysis import hunt_races, sharedcache
 from repro.analysis.parallel import (
     BatchOutcome,
     HuntJob,
     JobOutcome,
     _HuntState,
     _PoolExecutor,
+    _time_limit,
     plan_batches,
     plan_jobs,
 )
@@ -268,10 +268,13 @@ def _cache_pair(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     open(path, "w").close()
     lock = multiprocessing.get_context("fork").Lock()
-    return (
-        sharedcache.SharedTraceCache(path, lock),
-        sharedcache.SharedTraceCache(path, lock),
-    )
+    return _shared_cache(path, lock), _shared_cache(path, lock)
+
+
+def _shared_cache(path, lock):
+    cache = sharedcache.SharedTraceCache()
+    cache.share(path, lock)
+    return cache
 
 
 def test_shared_cache_put_visible_to_other_instance(tmp_path):
@@ -307,9 +310,7 @@ def test_shared_cache_ignores_torn_trailing_line(tmp_path):
 
 def test_shared_cache_survives_missing_file(tmp_path):
     lock = multiprocessing.get_context("fork").Lock()
-    cache = sharedcache.SharedTraceCache(
-        str(tmp_path / "never-created.jsonl"), lock
-    )
+    cache = _shared_cache(str(tmp_path / "never-created.jsonl"), lock)
     assert cache.get("fp") is None  # read path degrades
     cache.put("fp", (True, "d", 1, 1))  # write path degrades to local
     assert cache.get("fp") == (True, "d", 1, 1)
@@ -322,7 +323,7 @@ def test_shared_cache_bounds_local_dict(tmp_path):
         writer.put(f"fp-{i}", (False, "", 0, 0))
     assert len(writer.local) <= 4
     # evicted entries still come back from the shared file
-    fresh = sharedcache.SharedTraceCache(writer.path, writer.lock)
+    fresh = _shared_cache(writer.path, writer.lock)
     assert fresh.get("fp-0") == (False, "", 0, 0)
 
 
@@ -350,13 +351,27 @@ def _pool_state():
 
 
 def test_pool_close_degrades_without_private_worker_list():
+    """close() must neither raise nor hang when Pool's private worker
+    list is gone.  The workers ignore SIGTERM, so an unbounded shutdown
+    path hangs only now and then; looping makes that show, and the hard
+    time limit turns a hang into a failure."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fork start method unavailable")
-    executor = _PoolExecutor(_pool_state(), workers=2, stop_at_first=False)
-    # simulate a future stdlib that renames Pool._pool
-    executor.pool._pool = None
-    executor.close()  # must fall back to terminate(), not raise
-    assert executor.cache_path is None  # shared cache file cleaned up
+    for _ in range(20):
+        executor = _PoolExecutor(_pool_state(), workers=2,
+                                 stop_at_first=False)
+        workers = list(executor.pool._pool)
+        # simulate a future stdlib that renames Pool._pool
+        executor.pool._pool = None
+        try:
+            with _time_limit(30.0):
+                executor.close()
+        finally:
+            for proc in workers:  # never leak a wedged worker
+                if proc.is_alive():
+                    proc.kill()
+        assert not any(proc.is_alive() for proc in workers)
+        assert executor.cache.path is None  # shared cache file cleaned up
 
 
 def test_pool_close_is_clean_on_untouched_pool():
@@ -364,4 +379,4 @@ def test_pool_close_is_clean_on_untouched_pool():
         pytest.skip("fork start method unavailable")
     executor = _PoolExecutor(_pool_state(), workers=2, stop_at_first=True)
     executor.close()
-    assert executor.cache_path is None
+    assert executor.cache.path is None

@@ -18,7 +18,7 @@ from repro.analysis.checkpoint import (
     program_fingerprint,
     save_checkpoint,
 )
-from repro.analysis.hunting import hunt_races
+from repro.analysis import hunt_races
 from repro.analysis.parallel import HuntJob, JobOutcome
 from repro.machine.models import make_model
 from repro.programs.kernels import locked_counter_program, racy_counter_program

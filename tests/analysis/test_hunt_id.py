@@ -15,7 +15,7 @@ from repro.analysis.checkpoint import (
     make_hunt_id,
     peek_hunt_id,
 )
-from repro.analysis.hunting import hunt_races
+from repro.analysis import hunt_races
 from repro.faults import FaultPlan
 from repro.machine.models import make_model
 from repro.obs.metrics import MetricsRegistry

@@ -1,6 +1,6 @@
 """Robustness verdicts riding the hunt engine.
 
-``run_hunt(verify_robustness=True)`` attaches an SC-justification
+``hunt_races(verify_robustness=True)`` attaches an SC-justification
 verdict to every try; the aggregates (and the first non-robust report)
 must be identical serial vs parallel, survive checkpoint/resume
 byte-for-byte, participate in the checkpoint spec identity, and leave
@@ -21,7 +21,7 @@ from repro.analysis.checkpoint import (
     outcome_to_payload,
     save_checkpoint,
 )
-from repro.analysis.hunting import hunt_races
+from repro.analysis import hunt_races
 from repro.analysis.parallel import BatchOutcome, HuntJob, JobOutcome
 from repro.core.robustness import RobustnessReport
 from repro.machine.models import make_model

@@ -5,10 +5,9 @@ import pytest
 from repro.analysis.hunting import (
     HuntResult,
     default_policies,
-    hunt_races,
     policies_by_name,
 )
-from repro.analysis.parallel import plan_jobs
+from repro.analysis.parallel import hunt_races, plan_jobs
 from repro.machine.models import make_model
 from repro.machine.replay import replay_execution
 from repro.programs.figure1 import figure1a_program

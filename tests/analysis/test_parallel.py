@@ -6,14 +6,13 @@ import time
 
 import pytest
 
-from repro.analysis.hunting import hunt_races
+from repro.analysis import hunt_races
 from repro.analysis.parallel import (
     HuntJob,
     JobOutcome,
     _HuntState,
     merge_outcomes,
     plan_jobs,
-    run_hunt,
 )
 from repro.machine.models import make_model
 from repro.machine.propagation import PropagationPolicy, StubbornPropagation
@@ -202,12 +201,12 @@ def test_step_bound_runs_flagged():
 
 def test_run_hunt_validation():
     with pytest.raises(ValueError):
-        run_hunt(
+        hunt_races(
             racy_counter_program(), _wo, tries=0,
             policies=[("stubborn", StubbornPropagation)],
         )
     with pytest.raises(ValueError):
-        run_hunt(racy_counter_program(), _wo, tries=3, policies=[])
+        hunt_races(racy_counter_program(), _wo, tries=3, policies=[])
 
 
 def test_jobs_capped_at_job_count():

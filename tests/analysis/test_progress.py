@@ -6,8 +6,7 @@ every completed job."""
 
 import pytest
 
-from repro.analysis.hunting import hunt_races
-from repro.analysis.parallel import run_hunt
+from repro.analysis import hunt_races
 from repro.machine.models import make_model
 from repro.machine.propagation import PropagationPolicy, StubbornPropagation
 from repro.obs import metrics
@@ -245,9 +244,9 @@ def test_failures_carry_tracebacks_but_stats_do_not(jobs):
 
 
 def test_run_hunt_observer_not_built_when_unused():
-    """No registry and no on_outcome: run_hunt must not pay for an
+    """No registry and no on_outcome: the hunt must not pay for an
     observer closure (the disabled-overhead contract)."""
-    result = run_hunt(
+    result = hunt_races(
         racy_counter_program(), _wo, tries=2,
         policies=[("stubborn", StubbornPropagation)],
     )

@@ -9,8 +9,8 @@ import time
 import pytest
 
 from repro import faults
-from repro.analysis.hunting import hunt_races
-from repro.analysis.parallel import JobTimeout, _time_limit, run_hunt
+from repro.analysis import hunt_races
+from repro.analysis.parallel import JobTimeout, _time_limit
 from repro.faults import FaultPlan
 from repro.machine.models import make_model
 from repro.machine.propagation import StubbornPropagation
@@ -47,9 +47,9 @@ def test_none_means_no_limit():
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_hunt_rejects_zero_timeout_before_spawning(jobs):
     with pytest.raises(ValueError, match="job_timeout"):
-        run_hunt(racy_counter_program(), _wo, tries=2,
-                 policies=[("stubborn", StubbornPropagation)],
-                 jobs=jobs, job_timeout=0)
+        hunt_races(racy_counter_program(), _wo, tries=2,
+                   policies=[("stubborn", StubbornPropagation)],
+                   jobs=jobs, job_timeout=0)
 
 
 # ----------------------------------------------------------------------

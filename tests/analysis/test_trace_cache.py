@@ -1,14 +1,15 @@
 """The hunt's cross-attempt trace-analysis cache.
 
-Seeds that collapse to identical traces are analyzed once per worker
+Seeds that collapse to identical traces are analyzed once per hunt
 (cache keyed by the canonical trace fingerprint).  The cache must be
 *invisible* in every determinism-bearing output — stats() and
 summary() identical with the cache on, off, serial, or parallel — and
 visible only in run metadata (HuntResult.trace_cache_hits, to_json,
 obs counters)."""
 
-from repro.analysis.hunting import hunt_races
-from repro.analysis import parallel
+import pytest
+
+from repro.analysis import hunt_races, sharedcache
 from repro.machine.models import make_model
 from repro.programs import (
     buggy_workqueue_program,
@@ -49,9 +50,9 @@ def test_single_thread_program_hits_on_every_repeat():
 
 
 def test_cache_hits_counted_per_worker():
-    """Workers cache independently (fork shares nothing after the
-    clear), so parallel hit counts are bounded by the serial count but
-    statistics stay identical."""
+    """Workers share the hunt's cache through its file, but two
+    workers can both miss on one fingerprint, so parallel hit counts
+    are bounded by the serial count while statistics stay identical."""
     program = racy_counter_program(2, 2)
     serial = hunt_races(program, _wo, tries=16, jobs=1)
     parallel_result = hunt_races(program, _wo, tries=16, jobs=4)
@@ -71,12 +72,32 @@ def test_cache_hits_absent_from_stats_and_summary():
 
 
 def test_cache_cleared_between_hunts():
+    """Every hunt starts cold: nothing one hunt cached serves the next."""
     program = independent_work_program(processors=1, cells=4)
-    hunt_races(program, _wo, tries=3, jobs=1)
-    assert parallel._TRACE_CACHE  # populated by the hunt just run
+    first = hunt_races(program, _wo, tries=3, jobs=1)
+    assert first.trace_cache_hits == 2
     result = hunt_races(program, _wo, tries=3, jobs=1)
     # a warm leftover cache would have made all 3 analyses hits
     assert result.trace_cache_hits == 2
+
+
+def test_serial_hunt_never_creates_a_cache_file(monkeypatch):
+    """The serial cache is memory-only: its hits and misses do no file
+    I/O, so a hunt that hits must never reach the shared-file backend."""
+    def _no_file(*args, **kwargs):
+        raise AssertionError("serial hunt created a cache file")
+
+    monkeypatch.setattr(sharedcache, "create_cache_file", _no_file)
+    result = hunt_races(
+        independent_work_program(processors=1, cells=4), _wo, tries=6,
+        jobs=1,
+    )
+    assert result.trace_cache_hits == 5
+    with pytest.raises(AssertionError, match="cache file"):
+        hunt_races(
+            independent_work_program(processors=1, cells=4), _wo, tries=6,
+            jobs=2,
+        )
 
 
 def test_cache_hits_surface_in_stage_profile():

@@ -9,10 +9,8 @@ import pytest
 
 import repro
 from repro import obs
-from repro.analysis.naive import NaiveDetector, NaiveReport
-from repro.core.detector import detect as old_detect
+from repro.analysis.naive import NaiveReport
 from repro.core.onthefly import OnTheFlyReport
-from repro.core.onthefly_first import locate_first_races_on_the_fly
 from repro.core.report import RaceReport
 from repro.machine.models import make_model
 from repro.machine.simulator import run_program
@@ -80,30 +78,6 @@ class TestDispatch:
             assert isinstance(report.format(), str)
             assert report.to_json()["kind"] == detector
             assert report.race_free is False
-
-
-class TestDeprecatedPaths:
-    def test_core_detector_detect_warns(self, racy_trace):
-        with pytest.deprecated_call():
-            report = old_detect(racy_trace)
-        assert isinstance(report, RaceReport)
-
-    def test_core_detector_detect_keeps_type_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                old_detect(42)
-
-    def test_naive_analyze_execution_warns(self, racy_result):
-        with pytest.deprecated_call():
-            report = NaiveDetector().analyze_execution(racy_result)
-        assert report.data_races
-
-    def test_locate_first_races_on_the_fly_warns(self, racy_result):
-        with pytest.deprecated_call():
-            out = locate_first_races_on_the_fly(
-                racy_result.operations, racy_result.processor_count
-            )
-        assert set(out) == {"first", "non_first"}
 
 
 class TestReportRoundTrip:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.detector import PostMortemDetector, detect
+from repro import detect
 from repro.machine.models import make_model
 from repro.machine.simulator import run_program
 from repro.programs.figure1 import figure1a_program, figure1b_program

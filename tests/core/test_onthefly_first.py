@@ -1,9 +1,7 @@
 """On-the-fly first-race location tests (section 5 future work)."""
 
-from repro.core.onthefly_first import (
-    FirstRaceOnTheFlyDetector,
-    locate_first_races_on_the_fly,
-)
+import repro
+from repro.core.onthefly_first import FirstRaceOnTheFlyDetector
 from repro.machine.models import make_model
 from repro.machine.program import ProgramBuilder
 from repro.machine.scheduler import ScriptedScheduler
@@ -12,12 +10,24 @@ from repro.programs.figure1 import figure1a_program
 from repro.programs.workqueue import run_figure2
 
 
+def _locate(result, **history):
+    """First / non-first races of one streaming pass: through
+    ``repro.detect`` at the default history bounds, through the
+    detector class when a test needs other bounds."""
+    if not history:
+        report = repro.detect(result, detector="onthefly")
+        return {"first": report.first_races,
+                "non_first": report.non_first_races}
+    detector = FirstRaceOnTheFlyDetector(result.processor_count, **history)
+    detector.process_all(result.operations)
+    return {"first": detector.first_races,
+            "non_first": detector.non_first_races}
+
+
 def test_clean_program_reports_nothing():
     from repro.programs.kernels import locked_counter_program
     result = run_program(locked_counter_program(2, 2), make_model("WO"), seed=1)
-    out = locate_first_races_on_the_fly(
-        result.operations, result.processor_count
-    )
+    out = _locate(result)
     assert out["first"] == []
     assert out["non_first"] == []
 
@@ -34,19 +44,14 @@ def test_independent_races_all_first():
     with b.thread() as t:
         t.read(y)
     result = run_program(b.build(), make_model("SC"), seed=0)
-    out = locate_first_races_on_the_fly(
-        result.operations, result.processor_count, reader_history=8
-    )
+    out = _locate(result, reader_history=8)
     assert len(out["first"]) == 2
     assert out["non_first"] == []
 
 
 def test_figure2_first_is_a_queue_race():
     result = run_figure2(make_model("WO"))
-    out = locate_first_races_on_the_fly(
-        result.operations, result.processor_count,
-        reader_history=8, writer_history=4,
-    )
+    out = _locate(result, reader_history=8, writer_history=4)
     assert len(out["first"]) >= 1
     name = result.addr_name
     first_addrs = {name(r.addr) for r in out["first"]}
@@ -76,9 +81,7 @@ def test_downstream_race_marked_non_first():
         b.build(), make_model("SC"),
         scheduler=ScriptedScheduler([0, 1, 0, 2]), seed=0,
     ).run()
-    out = locate_first_races_on_the_fly(
-        result.operations, result.processor_count, reader_history=8
-    )
+    out = _locate(result, reader_history=8)
     name = result.addr_name
     assert {name(r.addr) for r in out["first"]} == {"x"}
     assert {name(r.addr) for r in out["non_first"]} == {"y"}
@@ -104,9 +107,7 @@ def test_contamination_propagates_through_sync():
         b.build(), make_model("SC"),
         scheduler=ScriptedScheduler([0, 1, 0, 2, 2, 2, 2, 3]), seed=0,
     ).run()
-    out = locate_first_races_on_the_fly(
-        result.operations, result.processor_count, reader_history=8
-    )
+    out = _locate(result, reader_history=8)
     name = result.addr_name
     assert {name(r.addr) for r in out["first"]} == {"x"}
     assert {name(r.addr) for r in out["non_first"]} == {"y"}
@@ -124,9 +125,7 @@ def test_counts_partition_the_race_set():
 
 def test_figure1a_races_first():
     result = run_program(figure1a_program(), make_model("SC"), seed=0)
-    out = locate_first_races_on_the_fly(
-        result.operations, result.processor_count
-    )
+    out = _locate(result)
     # Depending on schedule, the second race may be po-downstream of
     # the first's endpoint and thus correctly non-first; but at least
     # one race is always first.

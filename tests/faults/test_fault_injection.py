@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro import faults
-from repro.analysis.hunting import hunt_races
+from repro.analysis import hunt_races
 from repro.faults import ENV_VAR, FaultPlan
 from repro.machine.models import make_model
 from repro.programs.kernels import racy_counter_program

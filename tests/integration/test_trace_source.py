@@ -115,24 +115,6 @@ def test_detect_rejects_unknown_source():
 
 
 # ----------------------------------------------------------------------
-# deprecated readers still work, but warn
-# ----------------------------------------------------------------------
-
-def test_legacy_readers_warn(trace, tmp_path):
-    from repro.trace.binfile import read_binary_trace
-    from repro.trace.tracefile import read_trace
-
-    jsonl = tmp_path / "t.jsonl"
-    binp = tmp_path / "t.bin"
-    write_trace(trace, jsonl)
-    write_binary_trace(trace, binp)
-    with pytest.warns(DeprecationWarning, match="load_trace"):
-        assert read_trace(jsonl).event_count == trace.event_count
-    with pytest.warns(DeprecationWarning, match="load_trace"):
-        assert read_binary_trace(binp).event_count == trace.event_count
-
-
-# ----------------------------------------------------------------------
 # weakraces convert
 # ----------------------------------------------------------------------
 

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.analysis.hunting import hunt_races
+from repro.analysis import hunt_races
 from repro.machine.models import make_model
 from repro.obs.events import (
     EVENTS_FORMAT,

@@ -13,7 +13,7 @@ import urllib.request
 
 import pytest
 
-from repro.analysis.hunting import hunt_races
+from repro.analysis import hunt_races
 from repro.machine.models import make_model
 from repro.obs.events import HuntEventLog, read_events, validate_events
 from repro.obs.metrics import MetricsRegistry

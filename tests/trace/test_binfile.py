@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import load_trace
 from repro.core.detector import PostMortemDetector
 from repro.machine.models import make_model
 from repro.machine.simulator import run_program
@@ -9,7 +10,7 @@ from repro.programs.figure1 import figure1b_program
 from repro.programs.workqueue import run_figure2
 from repro.trace.binfile import (
     BinaryTraceError,
-    read_binary_trace,
+    _read_binary_trace,
     write_binary_trace,
 )
 from repro.trace.build import build_trace
@@ -45,7 +46,7 @@ def _assert_equivalent(a, b):
 def test_roundtrip(trace, tmp_path):
     path = tmp_path / "t.bin"
     write_binary_trace(trace, path)
-    _assert_equivalent(trace, read_binary_trace(path))
+    _assert_equivalent(trace, load_trace(path))
 
 
 def test_roundtrip_simple(tmp_path):
@@ -53,7 +54,7 @@ def test_roundtrip_simple(tmp_path):
     trace = build_trace(result)
     path = tmp_path / "s.bin"
     write_binary_trace(trace, path)
-    _assert_equivalent(trace, read_binary_trace(path))
+    _assert_equivalent(trace, load_trace(path))
 
 
 def test_negative_values_roundtrip(tmp_path):
@@ -66,7 +67,7 @@ def test_negative_values_roundtrip(tmp_path):
     trace = build_trace(result)
     path = tmp_path / "n.bin"
     write_binary_trace(trace, path)
-    loaded = read_binary_trace(path)
+    loaded = load_trace(path)
     assert loaded.events[0][0].value == -12345
 
 
@@ -83,7 +84,7 @@ def test_smaller_than_json(trace, tmp_path):
 def test_detection_identical(trace, tmp_path):
     path = tmp_path / "t.bin"
     write_binary_trace(trace, path)
-    loaded = read_binary_trace(path)
+    loaded = load_trace(path)
     det = PostMortemDetector()
     a, b = det.analyze(trace), det.analyze(loaded)
     assert [(r.a, r.b, r.locations) for r in a.races] == \
@@ -94,8 +95,10 @@ def test_detection_identical(trace, tmp_path):
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
+    # load_trace would sniff this as JSON lines; the magic check
+    # belongs to the binary loader itself
     with pytest.raises(BinaryTraceError, match="magic"):
-        read_binary_trace(path)
+        _read_binary_trace(path)
 
 
 def test_truncation_detected(trace, tmp_path):
@@ -104,7 +107,7 @@ def test_truncation_detected(trace, tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(BinaryTraceError, match="truncated"):
-        read_binary_trace(path)
+        load_trace(path)
 
 
 def test_bad_version(tmp_path):
@@ -112,4 +115,4 @@ def test_bad_version(tmp_path):
     path = tmp_path / "v.bin"
     path.write_bytes(b"WRTR" + struct.pack("<I", 99))
     with pytest.raises(BinaryTraceError, match="version"):
-        read_binary_trace(path)
+        load_trace(path)

@@ -115,12 +115,13 @@ def test_require_valid_raises_with_details():
 
 
 def test_roundtripped_files_stay_valid(tmp_path):
-    from repro.trace.binfile import read_binary_trace, write_binary_trace
-    from repro.trace.tracefile import read_trace, write_trace
+    from repro import load_trace
+    from repro.trace.binfile import write_binary_trace
+    from repro.trace.tracefile import write_trace
     trace = _good_trace()
     j = tmp_path / "t.jsonl"
     b = tmp_path / "t.bin"
     write_trace(trace, j)
     write_binary_trace(trace, b)
-    assert validate_trace(read_trace(j)) == []
-    assert validate_trace(read_binary_trace(b)) == []
+    assert validate_trace(load_trace(j)) == []
+    assert validate_trace(load_trace(b)) == []
