@@ -36,7 +36,7 @@ from ..machine.isa import Opcode, Reg
 from ..machine.memory import MemorySystem
 from ..machine.models.sc import SequentialConsistency
 from ..machine.operations import MemoryOperation, SyncRole
-from ..machine.processor import Processor
+from ..machine.processor import Processor, Recorder
 from ..machine.program import Program, ThreadProgram
 
 
@@ -175,56 +175,8 @@ class _RaceState:
 # machine-state snapshot/restore
 # ----------------------------------------------------------------------
 
-class _MiniRecorder:
-    def __init__(self, start_seq: int = 0) -> None:
-        self.ops: List[MemoryOperation] = []
-        self._seq = start_seq
-
-    def next_seq(self) -> int:
-        seq = self._seq
-        self._seq += 1
-        return seq
-
-    def append(self, op: MemoryOperation) -> None:
-        self.ops.append(op)
-
-
-def _clone_processor(p: Processor) -> Processor:
-    out = Processor(p.pid, p.thread)
-    out.regs = dict(p.regs)
-    out.reg_taint = dict(p.reg_taint)
-    out.pc = p.pc
-    out.halted = p.halted
-    out.control_taint = p.control_taint
-    out.local_index = p.local_index
-    out.raw_scp_cut = p.raw_scp_cut
-    return out
-
-
-def _clone_memory(m: MemorySystem) -> MemorySystem:
-    out = MemorySystem.__new__(MemorySystem)
-    out.size = m.size
-    out.processor_count = m.processor_count
-    out.model = m.model
-    from ..machine.memory import CellView
-    out._committed = [CellView(c.value, c.seq, c.taint) for c in m._committed]
-    out._views = [
-        [CellView(c.value, c.seq, c.taint) for c in row] for row in m._views
-    ]
-    out._pending = []  # SC never buffers
-    out.flush_count = m.flush_count
-    out.propagated_writes = m.propagated_writes
-    out._delivery_log = None  # exploration never records deliveries
-    out.deliveries_logged = 0
-    return out
-
-
 def _machine_key(processors: List[Processor], memory: MemorySystem) -> Tuple:
-    procs = tuple(
-        (p.pc, p.halted, tuple(sorted(p.regs.items()))) for p in processors
-    )
-    cells = tuple(c.value for c in memory._committed)
-    return (procs, cells)
+    return (tuple(p.state_key() for p in processors), memory.state_key())
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +206,7 @@ def _is_blocked(p: Processor, memory: MemorySystem) -> bool:
             and _branch_target(thread, p.pc + 1) == p.pc
         ):
             if instr.addr.index is None:
-                return memory._committed[instr.addr.base].value != 0
+                return memory.committed_value(instr.addr.base) != 0
     if instr.opcode is Opcode.CAS and p.pc + 1 < len(thread):
         # `cas r, L, exp, new ; bz r, back` spins while the committed
         # value differs from the expected operand.
@@ -269,7 +221,7 @@ def _is_blocked(p: Processor, memory: MemorySystem) -> bool:
             from ..machine.isa import Imm
             expected = instr.src[0]
             if isinstance(expected, Imm):
-                return memory._committed[instr.addr.base].value != expected.value
+                return memory.committed_value(instr.addr.base) != expected.value
     if instr.opcode is Opcode.ACQ_READ and p.pc + 2 < len(thread):
         cmp_i = thread.instructions[p.pc + 1]
         br_i = thread.instructions[p.pc + 2]
@@ -283,7 +235,7 @@ def _is_blocked(p: Processor, memory: MemorySystem) -> bool:
             from ..machine.isa import Imm
             if not isinstance(cmp_i.src[1], Imm):
                 return False
-            value = memory._committed[instr.addr.base].value
+            value = memory.committed_value(instr.addr.base)
             bound = cmp_i.src[1].value
             if cmp_i.opcode is Opcode.CMP_EQ and br_i.opcode is Opcode.BZ:
                 return value != bound      # spin_until_eq: blocked while !=
@@ -368,10 +320,12 @@ class ExhaustiveExplorer:
             return None
 
         for pid in runnable:
-            new_procs = [_clone_processor(p) for p in processors]
-            new_mem = _clone_memory(memory)
+            new_procs = [p.clone() for p in processors]
+            new_mem = memory.clone()
             new_race = race_state.clone()
-            recorder = _MiniRecorder()
+            # Seq numbers stay monotone along the path (one per operation
+            # issued so far) so the memory's newer-write-wins guard holds.
+            recorder = Recorder(sum(p.local_index for p in new_procs))
             new_procs[pid].step(new_mem, recorder)
             raced = any(new_race.on_op(op) for op in recorder.ops)
             path.append(pid)

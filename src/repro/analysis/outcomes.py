@@ -27,13 +27,9 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..machine.memory import MemorySystem
 from ..machine.models.base import MemoryModel
-from ..machine.processor import Processor
+from ..machine.processor import Processor, Recorder
 from ..machine.program import Program
-from .exhaustive import (
-    _MiniRecorder,
-    _clone_processor,
-    _is_blocked,
-)
+from .exhaustive import _is_blocked
 
 
 class OutcomeLimit(RuntimeError):
@@ -63,42 +59,8 @@ class OutcomeSet:
         return len(self.outcomes)
 
 
-def _clone_weak_memory(m: MemorySystem) -> MemorySystem:
-    from ..machine.memory import CellView, PendingWrite
-    out = MemorySystem.__new__(MemorySystem)
-    out.size = m.size
-    out.processor_count = m.processor_count
-    out.model = m.model
-    out._committed = [CellView(c.value, c.seq, c.taint) for c in m._committed]
-    out._views = [
-        [CellView(c.value, c.seq, c.taint) for c in row] for row in m._views
-    ]
-    out._pending = [
-        PendingWrite(pw.writer, pw.addr, pw.value, pw.seq, pw.taint,
-                     set(pw.remaining))
-        for pw in m._pending
-    ]
-    out._store_order = m._store_order
-    out.flush_count = m.flush_count
-    out.propagated_writes = m.propagated_writes
-    out._delivery_log = None  # enumeration never records deliveries
-    out.deliveries_logged = 0
-    return out
-
-
 def _state_key(processors: List[Processor], memory: MemorySystem) -> Tuple:
-    procs = tuple(
-        (p.pc, p.halted, tuple(sorted(p.regs.items()))) for p in processors
-    )
-    cells = tuple(c.value for c in memory._committed)
-    views = tuple(
-        tuple(c.value for c in row) for row in memory._views
-    )
-    pending = tuple(sorted(
-        (pw.writer, pw.addr, pw.value, tuple(sorted(pw.remaining)))
-        for pw in memory._pending
-    ))
-    return (procs, cells, views, pending)
+    return (tuple(p.state_key() for p in processors), memory.state_key())
 
 
 def enumerate_outcomes(
@@ -180,22 +142,22 @@ def enumerate_outcomes(
             continue
 
         for pid in runnable:
-            new_procs = [_clone_processor(p) for p in procs]
-            new_mem = _clone_weak_memory(mem)
+            new_procs = [p.clone() for p in procs]
+            new_mem = mem.clone()
             # Seq numbers stay globally monotone along each path so the
             # memory system's newer-write-wins guard behaves correctly.
-            recorder = _MiniRecorder(start_seq=next_seq)
+            recorder = Recorder(start_seq=next_seq)
             new_procs[pid].step(new_mem, recorder)
-            work.append((new_procs, new_mem, recorder._seq))
+            work.append((new_procs, new_mem, recorder.seq))
 
         for seq, reader in deliveries:
-            new_mem = _clone_weak_memory(mem)
+            new_mem = mem.clone()
             for pw in new_mem.pending_writes():
                 if pw.seq == seq:
                     new_mem.propagate(pw, reader)
                     break
             work.append((
-                [_clone_processor(p) for p in procs], new_mem, next_seq
+                [p.clone() for p in procs], new_mem, next_seq
             ))
     return OutcomeSet(
         program=program,

@@ -87,8 +87,8 @@ class Addr:
 class Instruction:
     """One static instruction.
 
-    The operand tuple's meaning depends on the opcode; see
-    :class:`repro.machine.processor.Processor` for the dispatch table.
+    The operand tuple's meaning depends on the opcode; see the lowering
+    functions in :mod:`repro.machine.processor`, one per opcode.
     ``label`` is a symbolic jump target resolved by the thread program.
     """
 

@@ -19,20 +19,18 @@ Ground truth kept for verification (never exposed to the detector):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .models.base import MemoryModel
 from .operations import SyncRole
 
-
-@dataclass
-class CellView:
-    """One processor's view of one location."""
-
-    value: int
-    seq: int  # seq of the write that produced this value; -1 for initial
-    taint: bool = False
+#: One processor's view of one location: ``(value, seq, taint)``, where
+#: *seq* is the issue index of the write that produced the value (-1 for
+#: the initial value).  Cells are immutable tuples and are replaced,
+#: never updated, so every view list can start as a copy of one shared
+#: initial template.
+Cell = Tuple[int, int, bool]
 
 
 @dataclass
@@ -47,14 +45,18 @@ class PendingWrite:
     remaining: Set[int] = field(default_factory=set)
 
 
-@dataclass(frozen=True)
-class ReadResult:
+class ReadResult(NamedTuple):
     """Outcome of a read: value plus ground-truth annotations."""
 
     value: int
     observed_write: Optional[int]  # seq of the write observed; None = initial
     stale: bool
     taint: bool
+
+
+# Builds a ReadResult without the namedtuple's Python-level __new__
+# (reads are on the simulator's hot path).
+_new_read = tuple.__new__
 
 
 class MemorySystem:
@@ -72,27 +74,63 @@ class MemorySystem:
         self.size = size
         self.processor_count = processor_count
         self.model = model
-        initial = initial or {}
-
-        def fresh_views() -> List[CellView]:
-            return [CellView(initial.get(a, 0), -1) for a in range(size)]
-
+        template: List[Cell] = [(0, -1, False)] * size
+        for addr, value in (initial or {}).items():
+            if 0 <= addr < size:
+                template[addr] = (value, -1, False)
         # committed = the globally latest write per location (by seq).
-        self._committed: List[CellView] = fresh_views()
-        self._views: List[List[CellView]] = [
-            fresh_views() for _ in range(processor_count)
+        self._committed: List[Cell] = template
+        self._views: List[List[Cell]] = [
+            template.copy() for _ in range(processor_count)
         ]
         self._pending: List[PendingWrite] = []
-        # FIFO discipline on voluntary deliveries (TSO/PSO); the model
-        # is fixed for the system's lifetime, so resolve it once.
+        # The model is fixed for the system's lifetime: resolve its
+        # answers once instead of asking on every operation.
+        self._buffers = model.buffers_data_writes()
+        self.data_read_stall = model.data_read_stall()
+        self.data_write_stall = model.data_write_stall()
+        self._others = [
+            frozenset(q for q in range(processor_count) if q != proc)
+            for proc in range(processor_count)
+        ]
+        # FIFO discipline on voluntary deliveries (TSO/PSO)
         self._store_order = model.store_order_granularity()
         # voluntary-delivery log: (seq, reader) per propagate() call,
-        # drained by the recorder between steps.  None = logging off.
+        # consumed by the recording loop between steps.  None = off.
         self._delivery_log: Optional[List[Tuple[int, int]]] = None
         # counters
         self.flush_count = 0
         self.propagated_writes = 0
         self.deliveries_logged = 0
+
+    def clone(self) -> "MemorySystem":
+        """An independent copy of the whole memory state (explorers
+        branch on it).  Cells are immutable, so the view lists are
+        shallow-copied; pending writes get their own reader sets."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
+        out._committed = self._committed.copy()
+        out._views = [row.copy() for row in self._views]
+        out._pending = [
+            replace(pw, remaining=set(pw.remaining)) for pw in self._pending
+        ]
+        if self._delivery_log is not None:
+            out._delivery_log = self._delivery_log.copy()
+        return out
+
+    def state_key(self) -> Tuple:
+        """A hashable key of the state that decides future behaviour:
+        committed values, plus (on buffering models) every view's
+        values and the pending writes."""
+        cells = tuple(cell[0] for cell in self._committed)
+        if not self._buffers:
+            return cells
+        views = tuple(tuple(cell[0] for cell in row) for row in self._views)
+        pending = tuple(sorted(
+            (pw.writer, pw.addr, pw.value, tuple(sorted(pw.remaining)))
+            for pw in self._pending
+        ))
+        return (cells, views, pending)
 
     # ------------------------------------------------------------------
     # reads
@@ -105,30 +143,21 @@ class MemorySystem:
         writes update its own view at issue).
         """
         self._check(proc, addr)
-        view = self._views[proc][addr]
-        committed = self._committed[addr]
-        stale = committed.seq != view.seq
-        return ReadResult(
-            value=view.value,
-            observed_write=view.seq if view.seq >= 0 else None,
-            stale=stale,
-            taint=view.taint or stale,
-        )
+        value, seq, taint = self._views[proc][addr]
+        stale = self._committed[addr][1] != seq
+        return _new_read(ReadResult, (
+            value, seq if seq >= 0 else None, stale, taint or stale,
+        ))
 
     def read_sync(self, proc: int, addr: int) -> ReadResult:
         """A synchronization read: sequentially consistent, reads the
         committed state and refreshes the reader's view of the cell."""
         self._check(proc, addr)
-        committed = self._committed[addr]
-        self._views[proc][addr] = CellView(
-            committed.value, committed.seq, committed.taint
-        )
-        return ReadResult(
-            value=committed.value,
-            observed_write=committed.seq if committed.seq >= 0 else None,
-            stale=False,
-            taint=committed.taint,
-        )
+        cell = self._views[proc][addr] = self._committed[addr]
+        value, seq, taint = cell
+        return _new_read(ReadResult, (
+            value, seq if seq >= 0 else None, False, taint,
+        ))
 
     # ------------------------------------------------------------------
     # writes
@@ -140,18 +169,18 @@ class MemorySystem:
         other views update when the write propagates (or never, until a
         flush, under the stubborn policy)."""
         self._check(proc, addr)
-        self._committed[addr] = CellView(value, seq, taint)
-        self._views[proc][addr] = CellView(value, seq, taint)
-        if not self.model.buffers_data_writes():
-            self._apply_everywhere(proc, addr, value, seq, taint)
+        cell = (value, seq, taint)
+        self._committed[addr] = cell
+        self._views[proc][addr] = cell
+        if not self._buffers:
+            self._apply_everywhere(proc, addr, cell)
             return
-        remaining = {q for q in range(self.processor_count) if q != proc}
         # A newer write to the same address by the same processor
         # supersedes any still-pending older one for readers that see
         # them out of order; the seq guard in _apply handles that, so
         # both may stay pending.
         self._pending.append(
-            PendingWrite(proc, addr, value, seq, taint, remaining)
+            PendingWrite(proc, addr, value, seq, taint, set(self._others[proc]))
         )
 
     def write_sync(
@@ -167,9 +196,10 @@ class MemorySystem:
         flushed = 0
         if self.model.flushes_at(role):
             flushed = self.flush(proc)
-        self._committed[addr] = CellView(value, seq, taint)
-        self._views[proc][addr] = CellView(value, seq, taint)
-        self._apply_everywhere(proc, addr, value, seq, taint)
+        cell = (value, seq, taint)
+        self._committed[addr] = cell
+        self._views[proc][addr] = cell
+        self._apply_everywhere(proc, addr, cell)
         return flushed
 
     def pre_sync_read_flush(self, proc: int, role: SyncRole) -> int:
@@ -190,8 +220,9 @@ class MemorySystem:
             if pw.writer != proc:
                 still_pending.append(pw)
                 continue
+            cell = (pw.value, pw.seq, pw.taint)
             for reader in pw.remaining:
-                self._apply(reader, pw.addr, pw.value, pw.seq, pw.taint)
+                self._apply(reader, pw.addr, cell)
             drained += 1
         self._pending = still_pending
         if drained:
@@ -230,7 +261,7 @@ class MemorySystem:
         if not self.delivery_allowed(pw, reader):
             return False
         pw.remaining.discard(reader)
-        self._apply(reader, pw.addr, pw.value, pw.seq, pw.taint)
+        self._apply(reader, pw.addr, (pw.value, pw.seq, pw.taint))
         if not pw.remaining:
             self._pending.remove(pw)
         self.propagated_writes += 1
@@ -239,22 +270,16 @@ class MemorySystem:
             self.deliveries_logged += 1
         return True
 
-    def enable_delivery_log(self) -> None:
-        """Start logging voluntary deliveries (recorder hook).
+    def enable_delivery_log(self) -> List[Tuple[int, int]]:
+        """Start logging voluntary deliveries and return the live log.
 
-        Every delivery is a :meth:`propagate` call — flushes bypass it —
-        so the log is exactly the voluntary deliveries since the last
-        :meth:`drain_deliveries`, in delivery order.
+        Every delivery is a :meth:`propagate` call — flushes bypass it
+        — so the log holds exactly the voluntary deliveries, in
+        delivery order, since its owner last cleared it.
         """
         if self._delivery_log is None:
             self._delivery_log = []
-
-    def drain_deliveries(self) -> List[Tuple[int, int]]:
-        """Return and reset the voluntary-delivery log (enables it if
-        needed, so the first drain arms the log for subsequent steps)."""
-        log = self._delivery_log
-        self._delivery_log = []
-        return log if log is not None else []
+        return self._delivery_log
 
     def pending_writes(self) -> List[PendingWrite]:
         """The current buffer contents (policy hook; do not mutate)."""
@@ -270,14 +295,14 @@ class MemorySystem:
     # ------------------------------------------------------------------
     def committed_value(self, addr: int) -> int:
         self._check(0, addr)
-        return self._committed[addr].value
+        return self._committed[addr][0]
 
     def committed_memory(self) -> Dict[int, int]:
-        return {addr: cell.value for addr, cell in enumerate(self._committed)}
+        return {addr: cell[0] for addr, cell in enumerate(self._committed)}
 
     def view_value(self, proc: int, addr: int) -> int:
         self._check(proc, addr)
-        return self._views[proc][addr].value
+        return self._views[proc][addr][0]
 
     def views_converged(self) -> bool:
         """True when every processor's view equals the committed state
@@ -287,18 +312,17 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _apply_everywhere(
-        self, writer: int, addr: int, value: int, seq: int, taint: bool
-    ) -> None:
+    def _apply_everywhere(self, writer: int, addr: int, cell: Cell) -> None:
         for reader in range(self.processor_count):
             if reader != writer:
-                self._apply(reader, addr, value, seq, taint)
+                self._apply(reader, addr, cell)
 
-    def _apply(self, reader: int, addr: int, value: int, seq: int, taint: bool) -> None:
+    def _apply(self, reader: int, addr: int, cell: Cell) -> None:
         # Views only move forward in write-issue order; a late-arriving
         # older write never overwrites a newer value.
-        if self._views[reader][addr].seq < seq:
-            self._views[reader][addr] = CellView(value, seq, taint)
+        row = self._views[reader]
+        if row[addr][1] < cell[1]:
+            row[addr] = cell
 
     def _check(self, proc: int, addr: int) -> None:
         if not 0 <= addr < self.size:

@@ -1,5 +1,14 @@
 """The simulated processor: executes one instruction per scheduler step.
 
+A thread program is *lowered* once, the first time a processor runs it:
+every instruction becomes a closure with its operands pre-bound (a
+register name, an immediate, or a base+index address) and its jump
+target resolved, and the lowered code is cached on the
+:class:`~repro.machine.program.ThreadProgram`.  A hunt that runs the
+same :class:`~repro.machine.program.Program` thousands of times lowers
+it once; each step is then one indexed call, ``code[pc](proc, memory,
+recorder)``, with no opcode dispatch and no per-operand type checks.
+
 Besides ordinary interpretation, the processor maintains the simulator's
 ground-truth *taint* state used to extract the sequentially consistent
 prefix (section 3.2 of the paper):
@@ -20,28 +29,62 @@ depends on a value no SC execution could have produced.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Protocol
+import operator
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .isa import Addr, Instruction, Opcode, Operand, Reg
 from .memory import MemorySystem
 from .operations import MemoryOperation, OperationKind, SyncRole
 from .program import ThreadProgram
 
+_READ, _WRITE = OperationKind.READ, OperationKind.WRITE
+_NONE, _ACQUIRE = SyncRole.NONE, SyncRole.ACQUIRE
+_RELEASE, _SYNC_ONLY = SyncRole.RELEASE, SyncRole.SYNC_ONLY
 
-class Recorder(Protocol):
-    """Supplies global sequence numbers and collects operation records."""
 
-    def next_seq(self) -> int: ...
+class Recorder:
+    """Issues global sequence numbers and collects operation records.
 
-    def append(self, op: MemoryOperation) -> None: ...
+    ``emit`` is the live-emission hook: each operation is handed to it
+    the moment it is issued, in global order — what an online
+    (streaming) detector consumes without waiting for the execution to
+    finish.  The recorder still accumulates the full stream.
+    """
+
+    __slots__ = ("ops", "seq", "append")
+
+    def __init__(self, start_seq: int = 0, emit=None) -> None:
+        self.ops: List[MemoryOperation] = []
+        self.seq = start_seq
+        if emit is None:
+            self.append = self.ops.append
+        else:
+            keep = self.ops.append
+
+            def append(op: MemoryOperation) -> None:
+                keep(op)
+                emit(op)
+
+            self.append = append
+
+
+#: One lowered instruction: ``op(processor, memory, recorder)``.
+Lowered = Callable[["Processor", MemorySystem, Recorder], None]
 
 
 class Processor:
     """One CPU: registers, program counter, taint state, stall counter."""
 
+    __slots__ = (
+        "pid", "thread", "code", "regs", "reg_taint", "pc", "halted",
+        "control_taint", "local_index", "raw_scp_cut", "stall_cycles",
+        "instructions_executed",
+    )
+
     def __init__(self, pid: int, thread: ThreadProgram) -> None:
         self.pid = pid
         self.thread = thread
+        self.code = lower(thread)
         self.regs: Dict[str, int] = {}
         self.reg_taint: Dict[str, bool] = {}
         self.pc = 0
@@ -50,275 +93,383 @@ class Processor:
         self.local_index = 0  # memory operations issued so far
         self.raw_scp_cut: Optional[int] = None
         self.stall_cycles = 0
-        self.cycles = 0
         self.instructions_executed = 0
-        # Handlers resolved once per instruction at construction; the
-        # hot step loop then runs dict-lookup-free.
-        self._code = thread.instructions
-        self._handlers = [_DISPATCH[i.opcode] for i in thread.instructions]
 
-    # ------------------------------------------------------------------
+    @property
+    def cycles(self) -> int:
+        """One issue cycle per instruction plus every stall cycle."""
+        return self.instructions_executed + self.stall_cycles
+
     def step(self, memory: MemorySystem, recorder: Recorder) -> None:
         """Execute the instruction at ``pc`` (a no-op when halted)."""
         if self.halted:
             return
-        pc = self.pc
-        if not 0 <= pc < len(self._code):
-            self.halted = True
-            return
         self.instructions_executed += 1
-        self.cycles += 1  # base issue cycle; stalls are added separately
-        self._handlers[pc](self, self._code[pc], memory, recorder)
+        self.code[self.pc](self, memory, recorder)
 
-    # ------------------------------------------------------------------
-    # operand helpers
-    # ------------------------------------------------------------------
-    def _value(self, operand: Operand) -> int:
-        if isinstance(operand, Reg):
-            return self.regs.get(operand.name, 0)
-        return operand.value
+    def clone(self) -> "Processor":
+        """An independent copy of the processor state (the lowered code
+        is immutable and shared)."""
+        out = object.__new__(Processor)
+        for name in Processor.__slots__:
+            setattr(out, name, getattr(self, name))
+        out.regs = dict(self.regs)
+        out.reg_taint = dict(self.reg_taint)
+        return out
 
-    def _taint_of(self, operand: Operand) -> bool:
-        if isinstance(operand, Reg):
-            return self.reg_taint.get(operand.name, False)
-        return False
-
-    def _set_reg(self, reg: Reg, value: int, taint: bool) -> None:
-        self.regs[reg.name] = value
-        self.reg_taint[reg.name] = taint or self.control_taint
-
-    def _effective_addr(self, addr: Addr) -> int:
-        if addr.index is None:
-            return addr.base
-        return addr.base + self.regs.get(addr.index.name, 0)
-
-    def _addr_taint(self, addr: Addr) -> bool:
-        if addr.index is None:
-            return False
-        return self.reg_taint.get(addr.index.name, False)
-
-    def _note_identity(self, addr: Addr) -> None:
-        """Record the SCP cut at the first identity-tainted operation."""
-        if self.raw_scp_cut is None and (
-            self.control_taint or self._addr_taint(addr)
-        ):
-            self.raw_scp_cut = self.local_index
-
-    def _record(
-        self,
-        recorder: Recorder,
-        seq: int,
-        kind: OperationKind,
-        role: SyncRole,
-        ea: int,
-        value: int,
-        observed: Optional[int],
-        stale: bool,
-    ) -> None:
-        recorder.append(
-            MemoryOperation(
-                seq=seq,
-                proc=self.pid,
-                local_index=self.local_index,
-                kind=kind,
-                role=role,
-                addr=ea,
-                value=value,
-                observed_write=observed,
-                stale=stale,
-                instr_index=self.pc,
-            )
-        )
-        self.local_index += 1
-
-    def _stall(self, cycles: int) -> None:
-        self.stall_cycles += cycles
-        self.cycles += cycles
+    def state_key(self) -> Tuple:
+        """A hashable key of the state that decides future behaviour."""
+        return (self.pc, self.halted, tuple(sorted(self.regs.items())))
 
 
 # ----------------------------------------------------------------------
-# instruction handlers
+# lowering
 # ----------------------------------------------------------------------
 
-def _do_read(p: Processor, i: Instruction, m: MemorySystem, r: Recorder) -> None:
-    ea = p._effective_addr(i.addr)
-    p._note_identity(i.addr)
-    res = m.read_data(p.pid, ea)
-    seq = r.next_seq()
-    p._record(r, seq, OperationKind.READ, SyncRole.NONE, ea, res.value,
-              res.observed_write, res.stale)
-    p._set_reg(i.dst, res.value, res.taint)
-    p._stall(m.model.data_read_stall())
-    p.pc += 1
+def lower(thread: ThreadProgram) -> Tuple[Lowered, ...]:
+    """The lowered code of *thread*, built on first use and cached on
+    the thread program.  Index ``len(thread)`` holds the fall-off
+    instruction, so every reachable pc indexes the tuple."""
+    code = thread.__dict__.get("_lowered")
+    if code is None:
+        code = tuple(
+            _LOWER[instr.opcode](instr, pc, thread)
+            for pc, instr in enumerate(thread.instructions)
+        ) + (_fall_off,)
+        object.__setattr__(thread, "_lowered", code)
+    return code
 
 
-def _do_write(p: Processor, i: Instruction, m: MemorySystem, r: Recorder) -> None:
-    ea = p._effective_addr(i.addr)
-    p._note_identity(i.addr)
-    value = p._value(i.src[0])
-    taint = p._taint_of(i.src[0]) or p.control_taint
-    seq = r.next_seq()
-    m.write_data(p.pid, ea, value, seq, taint)
-    p._record(r, seq, OperationKind.WRITE, SyncRole.NONE, ea, value, None, False)
-    p._stall(m.model.data_write_stall())
-    p.pc += 1
+def _fall_off(p: "Processor", m: MemorySystem, r: Recorder) -> None:
+    # Running past the last instruction halts the processor.  The step
+    # is scheduled like any other but executes no instruction.
+    p.instructions_executed -= 1
+    p.halted = True
 
 
-def _do_test_and_set(p: Processor, i: Instruction, m: MemorySystem, r: Recorder) -> None:
-    ea = p._effective_addr(i.addr)
-    p._note_identity(i.addr)
-    flushed = m.pre_sync_read_flush(p.pid, SyncRole.ACQUIRE)
-    res = m.read_sync(p.pid, ea)
-    seq = r.next_seq()
-    p._record(r, seq, OperationKind.READ, SyncRole.ACQUIRE, ea, res.value,
-              res.observed_write, res.stale)
-    # The write half of a Test&Set is synchronization but NOT a release
-    # (section 2.1 of the paper): it communicates nothing about prior
-    # operations of this processor.  Store-buffer models (TSO/PSO) still
-    # drain the buffer here — write_sync flushes when the model flushes
-    # at SYNC_ONLY — matching RMW drain semantics on real hardware.
-    wseq = r.next_seq()
-    extra = m.write_sync(p.pid, ea, 1, wseq, p.control_taint, SyncRole.SYNC_ONLY)
-    p._record(r, wseq, OperationKind.WRITE, SyncRole.SYNC_ONLY, ea, 1, None, False)
-    p._set_reg(i.dst, res.value, res.taint)
-    p._stall(m.model.sync_read_stall(SyncRole.ACQUIRE, flushed)
-             + m.model.sync_write_stall(SyncRole.SYNC_ONLY, extra))
-    p.pc += 1
+def _operand(operand: Operand) -> Tuple[Optional[str], int]:
+    """``(key, default)`` such that ``regs.get(key, default)`` reads the
+    operand: a register name and 0, or for an immediate ``None`` (never
+    a register name) and the immediate's value."""
+    if isinstance(operand, Reg):
+        return operand.name, 0
+    return None, operand.value
 
 
-def _do_cas(p: Processor, i: Instruction, m: MemorySystem, r: Recorder) -> None:
+def _address(addr: Addr) -> Tuple[int, Optional[str]]:
+    """``(base, index)``; the effective address is
+    ``base + regs.get(index, 0)`` and its taint
+    ``reg_taint.get(index, False)``, both constant when index is None."""
+    return addr.base, (addr.index.name if addr.index is not None else None)
+
+
+def _lower_read(i: Instruction, pc: int, thread: ThreadProgram) -> Lowered:
+    base, index = _address(i.addr)
+    dst, nxt = i.dst.name, pc + 1
+
+    def read(p: Processor, m: MemorySystem, r: Recorder) -> None:
+        regs, taint = p.regs, p.reg_taint
+        ea = base + regs.get(index, 0)
+        if p.raw_scp_cut is None and (p.control_taint or taint.get(index, False)):
+            p.raw_scp_cut = p.local_index
+        value, observed, stale, vtaint = m.read_data(p.pid, ea)
+        seq = r.seq
+        r.seq = seq + 1
+        local = p.local_index
+        r.append(MemoryOperation(seq, p.pid, local, _READ, _NONE, ea, value,
+                                 observed, stale, pc))
+        p.local_index = local + 1
+        regs[dst] = value
+        taint[dst] = vtaint or p.control_taint
+        p.stall_cycles += m.data_read_stall
+        p.pc = nxt
+
+    return read
+
+
+def _lower_write(i: Instruction, pc: int, thread: ThreadProgram) -> Lowered:
+    base, index = _address(i.addr)
+    key, imm = _operand(i.src[0])
+    nxt = pc + 1
+
+    def write(p: Processor, m: MemorySystem, r: Recorder) -> None:
+        regs, taint, ct = p.regs, p.reg_taint, p.control_taint
+        ea = base + regs.get(index, 0)
+        if p.raw_scp_cut is None and (ct or taint.get(index, False)):
+            p.raw_scp_cut = p.local_index
+        value = regs.get(key, imm)
+        seq = r.seq
+        r.seq = seq + 1
+        m.write_data(p.pid, ea, value, seq, taint.get(key, False) or ct)
+        local = p.local_index
+        r.append(MemoryOperation(seq, p.pid, local, _WRITE, _NONE, ea, value,
+                                 None, False, pc))
+        p.local_index = local + 1
+        p.stall_cycles += m.data_write_stall
+        p.pc = nxt
+
+    return write
+
+
+def _lower_test_and_set(i: Instruction, pc: int, thread: ThreadProgram) -> Lowered:
+    base, index = _address(i.addr)
+    dst, nxt = i.dst.name, pc + 1
+
+    def test_and_set(p: Processor, m: MemorySystem, r: Recorder) -> None:
+        regs, taint, pid = p.regs, p.reg_taint, p.pid
+        ea = base + regs.get(index, 0)
+        if p.raw_scp_cut is None and (p.control_taint or taint.get(index, False)):
+            p.raw_scp_cut = p.local_index
+        flushed = m.pre_sync_read_flush(pid, _ACQUIRE)
+        value, observed, stale, vtaint = m.read_sync(pid, ea)
+        seq, local = r.seq, p.local_index
+        r.seq = seq + 2
+        p.local_index = local + 2
+        r.append(MemoryOperation(seq, pid, local, _READ, _ACQUIRE, ea, value,
+                                 observed, stale, pc))
+        # The write half of a Test&Set is synchronization but NOT a
+        # release (section 2.1 of the paper): it communicates nothing
+        # about prior operations of this processor.  Store-buffer
+        # models (TSO/PSO) still drain the buffer here — write_sync
+        # flushes when the model flushes at SYNC_ONLY — matching RMW
+        # drain semantics on real hardware.
+        extra = m.write_sync(pid, ea, 1, seq + 1, p.control_taint, _SYNC_ONLY)
+        r.append(MemoryOperation(seq + 1, pid, local + 1, _WRITE, _SYNC_ONLY,
+                                 ea, 1, None, False, pc))
+        regs[dst] = value
+        taint[dst] = vtaint or p.control_taint
+        model = m.model
+        p.stall_cycles += (model.sync_read_stall(_ACQUIRE, flushed)
+                           + model.sync_write_stall(_SYNC_ONLY, extra))
+        p.pc = nxt
+
+    return test_and_set
+
+
+def _lower_cas(i: Instruction, pc: int, thread: ThreadProgram) -> Lowered:
     """Compare-and-swap: atomically read; if the value equals the
     expected operand, write the new value and set dst to 1, else leave
     memory untouched and set dst to 0.  Like Test&Set, the read half is
     an acquire and the (conditional) write half communicates nothing
     about prior operations — it is synchronization, not a release."""
-    ea = p._effective_addr(i.addr)
-    p._note_identity(i.addr)
-    expected = p._value(i.src[0])
-    new = p._value(i.src[1])
-    flushed = m.pre_sync_read_flush(p.pid, SyncRole.ACQUIRE)
-    res = m.read_sync(p.pid, ea)
-    seq = r.next_seq()
-    p._record(r, seq, OperationKind.READ, SyncRole.ACQUIRE, ea, res.value,
-              res.observed_write, res.stale)
-    stall = m.model.sync_read_stall(SyncRole.ACQUIRE, flushed)
-    success = res.value == expected
-    if success:
-        taint = p._taint_of(i.src[1]) or p.control_taint
-        wseq = r.next_seq()
-        extra = m.write_sync(p.pid, ea, new, wseq, taint, SyncRole.SYNC_ONLY)
-        p._record(r, wseq, OperationKind.WRITE, SyncRole.SYNC_ONLY, ea, new,
-                  None, False)
-        stall += m.model.sync_write_stall(SyncRole.SYNC_ONLY, extra)
-    taint = res.taint or p._taint_of(i.src[0])
-    p._set_reg(i.dst, 1 if success else 0, taint)
-    p._stall(stall)
-    p.pc += 1
+    base, index = _address(i.addr)
+    exp_key, exp_imm = _operand(i.src[0])
+    new_key, new_imm = _operand(i.src[1])
+    dst, nxt = i.dst.name, pc + 1
+
+    def cas(p: Processor, m: MemorySystem, r: Recorder) -> None:
+        regs, taint, pid = p.regs, p.reg_taint, p.pid
+        ea = base + regs.get(index, 0)
+        if p.raw_scp_cut is None and (p.control_taint or taint.get(index, False)):
+            p.raw_scp_cut = p.local_index
+        expected = regs.get(exp_key, exp_imm)
+        new = regs.get(new_key, new_imm)
+        flushed = m.pre_sync_read_flush(pid, _ACQUIRE)
+        value, observed, stale, vtaint = m.read_sync(pid, ea)
+        seq, local = r.seq, p.local_index
+        r.seq = seq + 1
+        p.local_index = local + 1
+        r.append(MemoryOperation(seq, pid, local, _READ, _ACQUIRE, ea, value,
+                                 observed, stale, pc))
+        model = m.model
+        stall = model.sync_read_stall(_ACQUIRE, flushed)
+        success = value == expected
+        if success:
+            r.seq = seq + 2
+            p.local_index = local + 2
+            extra = m.write_sync(pid, ea, new, seq + 1,
+                                 taint.get(new_key, False) or p.control_taint,
+                                 _SYNC_ONLY)
+            r.append(MemoryOperation(seq + 1, pid, local + 1, _WRITE,
+                                     _SYNC_ONLY, ea, new, None, False, pc))
+            stall += model.sync_write_stall(_SYNC_ONLY, extra)
+        regs[dst] = 1 if success else 0
+        taint[dst] = vtaint or taint.get(exp_key, False) or p.control_taint
+        p.stall_cycles += stall
+        p.pc = nxt
+
+    return cas
 
 
-def _do_unset(p: Processor, i: Instruction, m: MemorySystem, r: Recorder) -> None:
-    ea = p._effective_addr(i.addr)
-    p._note_identity(i.addr)
-    seq = r.next_seq()
-    flushed = m.write_sync(p.pid, ea, 0, seq, p.control_taint, SyncRole.RELEASE)
-    p._record(r, seq, OperationKind.WRITE, SyncRole.RELEASE, ea, 0, None, False)
-    p._stall(m.model.sync_write_stall(SyncRole.RELEASE, flushed))
-    p.pc += 1
+def _lower_unset(i: Instruction, pc: int, thread: ThreadProgram) -> Lowered:
+    base, index = _address(i.addr)
+    nxt = pc + 1
+
+    def unset(p: Processor, m: MemorySystem, r: Recorder) -> None:
+        ea = base + p.regs.get(index, 0)
+        if p.raw_scp_cut is None and (
+            p.control_taint or p.reg_taint.get(index, False)
+        ):
+            p.raw_scp_cut = p.local_index
+        seq, local = r.seq, p.local_index
+        r.seq = seq + 1
+        flushed = m.write_sync(p.pid, ea, 0, seq, p.control_taint, _RELEASE)
+        r.append(MemoryOperation(seq, p.pid, local, _WRITE, _RELEASE, ea, 0,
+                                 None, False, pc))
+        p.local_index = local + 1
+        p.stall_cycles += m.model.sync_write_stall(_RELEASE, flushed)
+        p.pc = nxt
+
+    return unset
 
 
-def _do_acq_read(p: Processor, i: Instruction, m: MemorySystem, r: Recorder) -> None:
-    ea = p._effective_addr(i.addr)
-    p._note_identity(i.addr)
-    flushed = m.pre_sync_read_flush(p.pid, SyncRole.ACQUIRE)
-    res = m.read_sync(p.pid, ea)
-    seq = r.next_seq()
-    p._record(r, seq, OperationKind.READ, SyncRole.ACQUIRE, ea, res.value,
-              res.observed_write, res.stale)
-    p._set_reg(i.dst, res.value, res.taint)
-    p._stall(m.model.sync_read_stall(SyncRole.ACQUIRE, flushed))
-    p.pc += 1
+def _lower_acq_read(i: Instruction, pc: int, thread: ThreadProgram) -> Lowered:
+    base, index = _address(i.addr)
+    dst, nxt = i.dst.name, pc + 1
+
+    def acq_read(p: Processor, m: MemorySystem, r: Recorder) -> None:
+        regs, taint, pid = p.regs, p.reg_taint, p.pid
+        ea = base + regs.get(index, 0)
+        if p.raw_scp_cut is None and (p.control_taint or taint.get(index, False)):
+            p.raw_scp_cut = p.local_index
+        flushed = m.pre_sync_read_flush(pid, _ACQUIRE)
+        value, observed, stale, vtaint = m.read_sync(pid, ea)
+        seq, local = r.seq, p.local_index
+        r.seq = seq + 1
+        r.append(MemoryOperation(seq, pid, local, _READ, _ACQUIRE, ea, value,
+                                 observed, stale, pc))
+        p.local_index = local + 1
+        regs[dst] = value
+        taint[dst] = vtaint or p.control_taint
+        p.stall_cycles += m.model.sync_read_stall(_ACQUIRE, flushed)
+        p.pc = nxt
+
+    return acq_read
 
 
-def _do_rel_write(p: Processor, i: Instruction, m: MemorySystem, r: Recorder) -> None:
-    ea = p._effective_addr(i.addr)
-    p._note_identity(i.addr)
-    value = p._value(i.src[0])
-    taint = p._taint_of(i.src[0]) or p.control_taint
-    seq = r.next_seq()
-    flushed = m.write_sync(p.pid, ea, value, seq, taint, SyncRole.RELEASE)
-    p._record(r, seq, OperationKind.WRITE, SyncRole.RELEASE, ea, value, None, False)
-    p._stall(m.model.sync_write_stall(SyncRole.RELEASE, flushed))
-    p.pc += 1
+def _lower_rel_write(i: Instruction, pc: int, thread: ThreadProgram) -> Lowered:
+    base, index = _address(i.addr)
+    key, imm = _operand(i.src[0])
+    nxt = pc + 1
+
+    def rel_write(p: Processor, m: MemorySystem, r: Recorder) -> None:
+        regs, taint, ct = p.regs, p.reg_taint, p.control_taint
+        ea = base + regs.get(index, 0)
+        if p.raw_scp_cut is None and (ct or taint.get(index, False)):
+            p.raw_scp_cut = p.local_index
+        value = regs.get(key, imm)
+        seq, local = r.seq, p.local_index
+        r.seq = seq + 1
+        flushed = m.write_sync(p.pid, ea, value, seq,
+                               taint.get(key, False) or ct, _RELEASE)
+        r.append(MemoryOperation(seq, p.pid, local, _WRITE, _RELEASE, ea,
+                                 value, None, False, pc))
+        p.local_index = local + 1
+        p.stall_cycles += m.model.sync_write_stall(_RELEASE, flushed)
+        p.pc = nxt
+
+    return rel_write
 
 
-def _do_fence(p: Processor, i: Instruction, m: MemorySystem, r: Recorder) -> None:
-    flushed = m.flush(p.pid)
-    p._stall(m.model.costs.drain_per_write * flushed)
-    p.pc += 1
+def _lower_fence(i: Instruction, pc: int, thread: ThreadProgram) -> Lowered:
+    nxt = pc + 1
+
+    def fence(p: Processor, m: MemorySystem, r: Recorder) -> None:
+        p.stall_cycles += m.model.costs.drain_per_write * m.flush(p.pid)
+        p.pc = nxt
+
+    return fence
 
 
-def _do_mov(p: Processor, i: Instruction, m: MemorySystem, r: Recorder) -> None:
-    p._set_reg(i.dst, p._value(i.src[0]), p._taint_of(i.src[0]))
-    p.pc += 1
+def _lower_mov(i: Instruction, pc: int, thread: ThreadProgram) -> Lowered:
+    key, imm = _operand(i.src[0])
+    dst, nxt = i.dst.name, pc + 1
+
+    def mov(p: Processor, m: MemorySystem, r: Recorder) -> None:
+        p.regs[dst] = p.regs.get(key, imm)
+        p.reg_taint[dst] = p.reg_taint.get(key, False) or p.control_taint
+        p.pc = nxt
+
+    return mov
 
 
-def _binop(fn):
-    def handler(p: Processor, i: Instruction, m: MemorySystem, r: Recorder) -> None:
-        a, b = p._value(i.src[0]), p._value(i.src[1])
-        taint = p._taint_of(i.src[0]) or p._taint_of(i.src[1])
-        p._set_reg(i.dst, fn(a, b), taint)
-        p.pc += 1
-    return handler
+_ARITHMETIC = {Opcode.ADD: operator.add, Opcode.SUB: operator.sub,
+               Opcode.MUL: operator.mul}
+_COMPARISON = {Opcode.CMP_EQ: operator.eq, Opcode.CMP_LT: operator.lt}
 
 
-def _do_jmp(p: Processor, i: Instruction, m: MemorySystem, r: Recorder) -> None:
-    p.pc = p.thread.target_of(i.label)
+def _lower_alu(i: Instruction, pc: int, thread: ThreadProgram) -> Lowered:
+    ka, ia = _operand(i.src[0])
+    kb, ib = _operand(i.src[1])
+    dst, nxt = i.dst.name, pc + 1
+
+    if i.opcode in _ARITHMETIC:
+        fn = _ARITHMETIC[i.opcode]
+
+        def arithmetic(p: Processor, m: MemorySystem, r: Recorder) -> None:
+            regs, taint = p.regs, p.reg_taint
+            regs[dst] = fn(regs.get(ka, ia), regs.get(kb, ib))
+            taint[dst] = (taint.get(ka, False) or taint.get(kb, False)
+                          or p.control_taint)
+            p.pc = nxt
+        return arithmetic
+
+    test = _COMPARISON[i.opcode]
+
+    def compare(p: Processor, m: MemorySystem, r: Recorder) -> None:
+        regs, taint = p.regs, p.reg_taint
+        regs[dst] = 1 if test(regs.get(ka, ia), regs.get(kb, ib)) else 0
+        taint[dst] = (taint.get(ka, False) or taint.get(kb, False)
+                      or p.control_taint)
+        p.pc = nxt
+    return compare
 
 
-def _do_bz(p: Processor, i: Instruction, m: MemorySystem, r: Recorder) -> None:
-    if p._taint_of(i.src[0]):
-        p.control_taint = True
-    if p._value(i.src[0]) == 0:
-        p.pc = p.thread.target_of(i.label)
-    else:
-        p.pc += 1
+def _lower_branch(i: Instruction, pc: int, thread: ThreadProgram) -> Lowered:
+    op, nxt = i.opcode, pc + 1
+    key, imm = _operand(i.src[0]) if i.src else (None, 0)
+    target = thread.target_of(i.label)  # a dangling label raises here
+
+    if op is Opcode.JMP:
+        def jmp(p: Processor, m: MemorySystem, r: Recorder) -> None:
+            p.pc = target
+        return jmp
+    if op is Opcode.BZ:
+        def bz(p: Processor, m: MemorySystem, r: Recorder) -> None:
+            if p.reg_taint.get(key, False):
+                p.control_taint = True
+            p.pc = target if p.regs.get(key, imm) == 0 else nxt
+        return bz
+
+    def bnz(p: Processor, m: MemorySystem, r: Recorder) -> None:
+        if p.reg_taint.get(key, False):
+            p.control_taint = True
+        p.pc = target if p.regs.get(key, imm) != 0 else nxt
+    return bnz
 
 
-def _do_bnz(p: Processor, i: Instruction, m: MemorySystem, r: Recorder) -> None:
-    if p._taint_of(i.src[0]):
-        p.control_taint = True
-    if p._value(i.src[0]) != 0:
-        p.pc = p.thread.target_of(i.label)
-    else:
-        p.pc += 1
+def _lower_halt(i: Instruction, pc: int, thread: ThreadProgram) -> Lowered:
+    def halt(p: Processor, m: MemorySystem, r: Recorder) -> None:
+        p.halted = True
+    return halt
 
 
-def _do_halt(p: Processor, i: Instruction, m: MemorySystem, r: Recorder) -> None:
-    p.halted = True
+def _lower_nop(i: Instruction, pc: int, thread: ThreadProgram) -> Lowered:
+    nxt = pc + 1
+
+    def nop(p: Processor, m: MemorySystem, r: Recorder) -> None:
+        p.pc = nxt
+    return nop
 
 
-def _do_nop(p: Processor, i: Instruction, m: MemorySystem, r: Recorder) -> None:
-    p.pc += 1
-
-
-_DISPATCH = {
-    Opcode.READ: _do_read,
-    Opcode.WRITE: _do_write,
-    Opcode.TEST_AND_SET: _do_test_and_set,
-    Opcode.CAS: _do_cas,
-    Opcode.UNSET: _do_unset,
-    Opcode.ACQ_READ: _do_acq_read,
-    Opcode.REL_WRITE: _do_rel_write,
-    Opcode.FENCE: _do_fence,
-    Opcode.MOV: _do_mov,
-    Opcode.ADD: _binop(lambda a, b: a + b),
-    Opcode.SUB: _binop(lambda a, b: a - b),
-    Opcode.MUL: _binop(lambda a, b: a * b),
-    Opcode.CMP_EQ: _binop(lambda a, b: 1 if a == b else 0),
-    Opcode.CMP_LT: _binop(lambda a, b: 1 if a < b else 0),
-    Opcode.JMP: _do_jmp,
-    Opcode.BZ: _do_bz,
-    Opcode.BNZ: _do_bnz,
-    Opcode.HALT: _do_halt,
-    Opcode.NOP: _do_nop,
+_LOWER = {
+    Opcode.READ: _lower_read,
+    Opcode.WRITE: _lower_write,
+    Opcode.TEST_AND_SET: _lower_test_and_set,
+    Opcode.CAS: _lower_cas,
+    Opcode.UNSET: _lower_unset,
+    Opcode.ACQ_READ: _lower_acq_read,
+    Opcode.REL_WRITE: _lower_rel_write,
+    Opcode.FENCE: _lower_fence,
+    Opcode.MOV: _lower_mov,
+    Opcode.ADD: _lower_alu,
+    Opcode.SUB: _lower_alu,
+    Opcode.MUL: _lower_alu,
+    Opcode.CMP_EQ: _lower_alu,
+    Opcode.CMP_LT: _lower_alu,
+    Opcode.JMP: _lower_branch,
+    Opcode.BZ: _lower_branch,
+    Opcode.BNZ: _lower_branch,
+    Opcode.HALT: _lower_halt,
+    Opcode.NOP: _lower_nop,
 }

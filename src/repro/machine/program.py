@@ -116,6 +116,13 @@ class ThreadProgram:
     def __len__(self) -> int:
         return len(self.instructions)
 
+    def __getstate__(self) -> dict:
+        # The lowered code cached by repro.machine.processor.lower holds
+        # closures; a copy or a pickle lowers again on first use.
+        state = dict(self.__dict__)
+        state.pop("_lowered", None)
+        return state
+
 
 @dataclass(frozen=True)
 class Program:

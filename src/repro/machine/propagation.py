@@ -64,10 +64,14 @@ class RandomPropagation(PropagationPolicy):
         self.probability = probability
 
     def step(self, memory: MemorySystem, rng: random.Random) -> None:
-        for pw in list(memory.pending_writes()):
+        pending = memory.pending_writes()
+        if not pending:
+            return
+        probability, draw, propagate = self.probability, rng.random, memory.propagate
+        for pw in list(pending):
             for reader in list(pw.remaining):
-                if rng.random() < self.probability:
-                    memory.propagate(pw, reader)
+                if draw() < probability:
+                    propagate(pw, reader)
 
 
 class HoldbackPropagation(PropagationPolicy):
@@ -167,20 +171,27 @@ class HomeDirectoryPropagation(PropagationPolicy):
 
     def step(self, memory: MemorySystem, rng: random.Random) -> None:
         self._now += 1
+        now, arrivals = self._now, self._arrivals
+        pending = memory.pending_writes()
+        if not pending:
+            arrivals.clear()
+            return
         live = set()
-        for pw in list(memory.pending_writes()):
+        for pw in list(pending):
             live.add(pw.seq)
-            schedule = self._arrivals.get(pw.seq)
+            schedule = arrivals.get(pw.seq)
             if schedule is None:
                 schedule = {
-                    reader: self._now + self._delay(pw.writer, pw.addr, reader)
+                    reader: now + self._delay(pw.writer, pw.addr, reader)
                     for reader in pw.remaining
                 }
-                self._arrivals[pw.seq] = schedule
+                arrivals[pw.seq] = schedule
             for reader in list(pw.remaining):
-                if schedule.get(reader, 0) <= self._now:
+                if schedule.get(reader, 0) <= now:
                     memory.propagate(pw, reader)
         # drop schedules of writes that were flushed or fully delivered
-        for seq in list(self._arrivals):
-            if seq not in live:
-                del self._arrivals[seq]
+        # (every live write has a schedule, so equal sizes mean none)
+        if len(arrivals) != len(live):
+            for seq in list(arrivals):
+                if seq not in live:
+                    del arrivals[seq]

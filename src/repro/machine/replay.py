@@ -8,7 +8,10 @@ exhibited the race.  This module captures the two sources of
 nondeterminism in the simulator — scheduler picks and voluntary write
 propagation — and replays them, reproducing the operation stream
 bit-for-bit (same schedule + same deliveries + deterministic processors
-=> same execution).
+=> same execution).  Recording and replay are modes of the simulator's
+one loop (:class:`~repro.machine.simulator.Simulator`): recording
+appends each pick and each step's sorted delivery log as it goes, and
+replay feeds them back in place of the scheduler and the policy.
 
 Recordings serialize to JSON so an execution captured in production can
 be replayed in a later debugging session, alongside its trace file.
@@ -26,8 +29,8 @@ from ..ioutil import atomic_write_text
 from .memory import MemorySystem
 from .models.base import MemoryModel
 from .program import Program
-from .propagation import PropagationPolicy, RandomPropagation
-from .scheduler import RandomScheduler, Scheduler
+from .propagation import PropagationPolicy
+from .scheduler import Scheduler
 from .simulator import ExecutionResult, Simulator
 
 
@@ -37,7 +40,14 @@ class ReplayError(RuntimeError):
 
 @dataclass
 class ExecutionRecording:
-    """Everything needed to reproduce one simulated execution."""
+    """Everything needed to reproduce one simulated execution.
+
+    ``schedule[i]`` is the processor picked at step *i*, and
+    ``deliveries[i]`` the voluntary ``(write seq, reader)`` deliveries
+    made before that pick.  Step lists are read-only: a recording
+    made by the simulator shares one empty list among its steps that
+    delivered nothing.
+    """
 
     model_name: str
     schedule: List[int] = field(default_factory=list)
@@ -81,77 +91,20 @@ class ExecutionRecording:
         )
 
 
-class _RecordingScheduler(Scheduler):
-    def __init__(self, inner: Scheduler, recording: ExecutionRecording) -> None:
-        self.inner = inner
-        self.recording = recording
+def _replayer(recording: ExecutionRecording):
+    """The ``(pick, propagate)`` pair that makes the simulator loop
+    replay *recording*: each step consumes one recorded delivery list
+    and one recorded pick, and raises :class:`ReplayError` where the
+    program or model no longer fits them."""
+    schedule, deliveries = recording.schedule, recording.deliveries
+    picked = delivered = 0
 
-    def pick(self, runnable: Sequence[int], rng: random.Random) -> int:
-        pid = self.inner.pick(runnable, rng)
-        self.recording.schedule.append(pid)
-        return pid
-
-
-class _RecordingPropagation(PropagationPolicy):
-    """Wraps a policy; captures this step's deliveries by draining the
-    memory system's voluntary-delivery log after the inner step —
-    O(deliveries) per step, where the old snapshot-diff was
-    O(pending x readers).  Flushes happen inside processor steps, never
-    here, so the drained log is exactly the voluntary deliveries.
-
-    The drained entries are sorted by ``(seq, reader)``, which is the
-    order the diff-based recorder emitted (increasing pending seq, then
-    sorted readers), keeping recording files byte-identical across the
-    two implementations."""
-
-    def __init__(
-        self, inner: PropagationPolicy, recording: ExecutionRecording
-    ) -> None:
-        self.inner = inner
-        self.recording = recording
-        self._armed = False
-
-    def step(self, memory: MemorySystem, rng: random.Random) -> None:
-        if not self._armed:
-            memory.enable_delivery_log()
-            self._armed = True
-        self.inner.step(memory, rng)
-        delivered = memory.drain_deliveries()
-        delivered.sort()
-        self.recording.deliveries.append(delivered)
-
-
-class _ReplayScheduler(Scheduler):
-    def __init__(self, schedule: List[int]) -> None:
-        self.schedule = schedule
-        self._pos = 0
-
-    def pick(self, runnable: Sequence[int], rng: random.Random) -> int:
-        if self._pos >= len(self.schedule):
-            raise ReplayError(
-                f"recording exhausted after {self._pos} steps but the "
-                f"execution is still running (program/model mismatch?)"
-            )
-        pid = self.schedule[self._pos]
-        self._pos += 1
-        if pid not in runnable:
-            raise ReplayError(
-                f"step {self._pos - 1}: recorded pick P{pid} is not "
-                f"runnable (program/model mismatch?)"
-            )
-        return pid
-
-
-class _ReplayPropagation(PropagationPolicy):
-    def __init__(self, deliveries: List[List[Tuple[int, int]]]) -> None:
-        self.deliveries = deliveries
-        self._pos = 0
-
-    def step(self, memory: MemorySystem, rng: random.Random) -> None:
-        if self._pos >= len(self.deliveries):
+    def propagate(memory: MemorySystem, rng: random.Random) -> None:
+        nonlocal delivered
+        if delivered >= len(deliveries):
             raise ReplayError("recording exhausted mid-replay")
-        step = self.deliveries[self._pos]
-        self._pos += 1
+        step = deliveries[delivered]
+        delivered += 1
         if not step:
             return
         by_seq = {pw.seq: pw for pw in memory.pending_writes()}
@@ -163,6 +116,24 @@ class _ReplayPropagation(PropagationPolicy):
                     f"is not pending (program/model mismatch?)"
                 )
             memory.propagate(pw, reader)
+
+    def pick(runnable: Sequence[int]) -> int:
+        nonlocal picked
+        if picked >= len(schedule):
+            raise ReplayError(
+                f"recording exhausted after {picked} steps but the "
+                f"execution is still running (program/model mismatch?)"
+            )
+        pid = schedule[picked]
+        picked += 1
+        if pid not in runnable:
+            raise ReplayError(
+                f"step {picked - 1}: recorded pick P{pid} is not "
+                f"runnable (program/model mismatch?)"
+            )
+        return pid
+
+    return pick, propagate
 
 
 # ----------------------------------------------------------------------
@@ -179,17 +150,8 @@ def record_execution(
 ) -> Tuple[ExecutionResult, ExecutionRecording]:
     """Run *program* while capturing every nondeterministic choice."""
     recording = ExecutionRecording(model_name=model.name)
-    sim = Simulator(
-        program,
-        model,
-        scheduler=_RecordingScheduler(scheduler or RandomScheduler(), recording),
-        propagation=_RecordingPropagation(
-            propagation or RandomPropagation(), recording
-        ),
-        seed=seed,
-    )
-    result = sim.run(max_steps=max_steps)
-    return result, recording
+    sim = Simulator(program, model, scheduler, propagation, seed)
+    return sim._execute(max_steps, recording=recording), recording
 
 
 def replay_execution(
@@ -208,14 +170,10 @@ def replay_execution(
             f"recording was made on {recording.model_name!r}, "
             f"replaying on {model.name!r}"
         )
-    sim = Simulator(
-        program,
-        model,
-        scheduler=_ReplayScheduler(recording.schedule),
-        propagation=_ReplayPropagation(recording.deliveries),
-        seed=0,
+    sim = Simulator(program, model, seed=0)
+    return sim._execute(
+        min(max_steps, len(recording.schedule)), replay=_replayer(recording)
     )
-    return sim.run(max_steps=min(max_steps, len(recording.schedule)))
 
 
 def verify_recording(

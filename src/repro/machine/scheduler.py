@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
+
+#: ``pick(runnable)``: one scheduling decision of a run (see ``bind``).
+Pick = Callable[[Sequence[int]], int]
 
 
 class Scheduler(abc.ABC):
@@ -19,6 +22,17 @@ class Scheduler(abc.ABC):
     @abc.abstractmethod
     def pick(self, runnable: Sequence[int], rng: random.Random) -> int:
         """Return one element of *runnable* (never empty)."""
+
+    def bind(self, rng: random.Random) -> Pick:
+        """The pick function of one run: ``bind(rng)(runnable)`` decides
+        exactly as ``pick(runnable, rng)``.  The simulator binds once per
+        run and calls the result every step."""
+        pick = self.pick
+
+        def bound(runnable: Sequence[int]) -> int:
+            return pick(runnable, rng)
+
+        return bound
 
 
 class RoundRobin(Scheduler):
@@ -41,10 +55,10 @@ class RandomScheduler(Scheduler):
     """Uniformly random choice each step (fair with probability 1)."""
 
     def pick(self, runnable: Sequence[int], rng: random.Random) -> int:
-        # rng.choice indexes the sequence directly; copying it per pick
-        # (the old list(runnable)) only added hot-loop allocation and
-        # consumes the identical RNG draw either way.
         return rng.choice(runnable)
+
+    def bind(self, rng: random.Random) -> Pick:
+        return rng.choice
 
 
 class BurstScheduler(Scheduler):

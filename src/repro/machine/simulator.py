@@ -3,48 +3,31 @@ propagation policy and scheduler together and produces an
 :class:`ExecutionResult` — the complete, ordered operation stream of one
 execution plus the ground truth (stale reads, raw SCP cuts, performance
 counters) against which the paper's claims are tested.
+
+One loop serves every way of running a program.  A plain run steps the
+propagation policy and the scheduler's bound pick; recording
+(:func:`repro.machine.replay.record_execution`) is the same loop
+appending each pick and each step's sorted delivery log to a recording;
+replay (:func:`repro.machine.replay.replay_execution`) is the same loop
+with the recording's picks and deliveries in place of the scheduler and
+the policy.  Each thread program runs from its lowered code
+(:func:`repro.machine.processor.lower`), built once per program.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import obs
 from .memory import MemorySystem
 from .models.base import MemoryModel
 from .operations import MemoryOperation
-from .processor import Processor
+from .processor import Processor, Recorder
 from .program import Program, SymbolTable
 from .propagation import PropagationPolicy, RandomPropagation
-from .scheduler import RandomScheduler, Scheduler
-
-
-class _Recorder:
-    """Issues global sequence numbers and accumulates operations.
-
-    ``on_operation`` is the live-emission hook: each operation is handed
-    to it the moment it is issued, in global order — what an online
-    (streaming) detector consumes without waiting for the execution to
-    finish.  The recorder still accumulates the full stream; emission is
-    in addition to, not instead of, recording.
-    """
-
-    def __init__(self, on_operation=None) -> None:
-        self.ops: List[MemoryOperation] = []
-        self._seq = 0
-        self._emit = on_operation
-
-    def next_seq(self) -> int:
-        seq = self._seq
-        self._seq += 1
-        return seq
-
-    def append(self, op: MemoryOperation) -> None:
-        self.ops.append(op)
-        if self._emit is not None:
-            self._emit(op)
+from .scheduler import Pick, RandomScheduler, Scheduler
 
 
 @dataclass
@@ -160,8 +143,20 @@ class Simulator:
 
     def run(self, max_steps: int = 200_000) -> ExecutionResult:
         """Simulate until all processors halt or *max_steps* elapse."""
+        return self._execute(max_steps)
+
+    def _execute(
+        self,
+        max_steps: int,
+        recording=None,
+        replay: Optional[Tuple[Pick, Callable]] = None,
+    ) -> ExecutionResult:
+        """Run the loop in one of its three modes: plain; recording
+        (*recording* has ``schedule`` and ``deliveries`` lists to append
+        to); or replay (*replay* is a ``(pick, propagate)`` pair that
+        consumes a recording in place of the scheduler and the policy)."""
         with obs.span("simulate") as sp:
-            result = self._run(max_steps)
+            result = self._loop(max_steps, recording, replay)
             if sp.enabled:
                 sp.add("steps", result.steps)
                 sp.add("operations", len(result.operations))
@@ -171,37 +166,56 @@ class Simulator:
                     sp.add("deliveries_logged", result.deliveries_logged)
         return result
 
-    def _run(self, max_steps: int) -> ExecutionResult:
+    def _loop(self, max_steps, recording, replay) -> ExecutionResult:
+        program = self.program
         memory = MemorySystem(
-            size=max(self.program.memory_size, 1),
-            processor_count=self.program.processor_count,
+            size=max(program.memory_size, 1),
+            processor_count=program.processor_count,
             model=self.model,
-            initial=self.program.initial_memory,
+            initial=program.initial_memory,
         )
         processors = [
-            Processor(pid, thread)
-            for pid, thread in enumerate(self.program.threads)
+            Processor(pid, thread) for pid, thread in enumerate(program.threads)
         ]
-        recorder = _Recorder(on_operation=self.on_operation)
+        recorder = Recorder(emit=self.on_operation)
+        rng = self.rng
+        if replay is None:
+            pick = self.scheduler.bind(rng)
+            propagate = self.propagation.step
+        else:
+            pick, propagate = replay
+        log = None
+        if recording is not None:
+            log = memory.enable_delivery_log()
+            add_pick = recording.schedule.append
+            add_deliveries = recording.deliveries.append
+            # Every step that delivered nothing shares this one list:
+            # an allocation per step would also run the cyclic garbage
+            # collector every few hundred steps.
+            nothing: List = []
         steps = 0
         # The runnable set is maintained incrementally: only the stepped
-        # processor can halt, so a per-iteration rebuild is pure waste on
-        # the hot loop.  list.remove keeps pid order, which the RNG-
-        # driven schedulers depend on for reproducibility.
+        # processor can halt.  list.remove keeps pid order, which the
+        # RNG-driven schedulers depend on for reproducibility.
         runnable = [p.pid for p in processors if not p.halted]
-        rng = self.rng
-        propagation_step = self.propagation.step
-        scheduler_pick = self.scheduler.pick
         while steps < max_steps and runnable:
-            propagation_step(memory, rng)
-            pid = scheduler_pick(runnable, rng)
+            propagate(memory, rng)
+            pid = pick(runnable)
+            if log is not None:
+                add_pick(pid)
+                if log:
+                    # (seq, reader) order: increasing pending seq, then
+                    # sorted readers — the recording file format.
+                    add_deliveries(sorted(log))
+                    log.clear()
+                else:
+                    add_deliveries(nothing)
             proc = processors[pid]
             proc.step(memory, recorder)
             if proc.halted:
                 runnable.remove(pid)
             steps += 1
 
-        completed = not runnable
         stats = [
             ProcessorStats(
                 cycles=p.cycles,
@@ -215,7 +229,7 @@ class Simulator:
             model_name=self.model.name,
             seed=self.seed,
             operations=recorder.ops,
-            completed=completed,
+            completed=not runnable,
             steps=steps,
             final_memory=memory.committed_memory(),
             stats=stats,
@@ -223,7 +237,7 @@ class Simulator:
             registers=[dict(p.regs) for p in processors],
             flush_count=memory.flush_count,
             propagated_writes=memory.propagated_writes,
-            symbols=self.program.symbols,
+            symbols=program.symbols,
             deliveries_logged=memory.deliveries_logged,
         )
 

@@ -162,3 +162,30 @@ class TestAgreementWithDynamic:
                 for run_seed in range(4):
                     result = run_program(prog, make_model("SC"), seed=run_seed)
                     assert det.analyze_execution(result).race_free, (seed, run_seed)
+
+
+def test_data_read_after_handoff_sees_the_handed_off_value():
+    """P1 overwrites P0's value of ``d`` after a release/acquire
+    handoff, then hands control back; P0's data read must return P1's
+    value in every SC execution, so the write to ``z`` it guards never
+    runs and the program is race-free.  Each explored step must issue
+    fresh sequence numbers: a write that reused an older write's seq
+    would be dropped by the memory's newer-write-wins guard, P0 would
+    read its own stale 1, and the explorer would report a race on z."""
+    b = ProgramBuilder()
+    d, f1, f2, z = b.var("d"), b.var("f1"), b.var("f2"), b.var("z")
+    with b.thread() as t:
+        t.write(d, 1)
+        t.release_write(f1, 1)
+        t.spin_until_ge(f2, 1)
+        r = t.read(d)
+        same = t.cmp_eq(r, 2)
+        t.jump_if_nonzero(same, "done")
+        t.write(z, 1)
+        t.label("done")
+    with b.thread() as t:
+        t.spin_until_ge(f1, 1)
+        t.write(d, 2)
+        t.release_write(f2, 1)
+        t.read(z)
+    assert is_program_data_race_free(b.build())

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.machine.memory import MemorySystem
-from repro.machine.models import SequentialConsistency, WeakOrdering
+from repro.machine.models import (
+    SequentialConsistency,
+    TotalStoreOrder,
+    WeakOrdering,
+)
 from repro.machine.operations import SyncRole
 
 
@@ -180,3 +184,70 @@ class TestBounds:
         snap = m.committed_memory()
         assert snap[1] == 7
         assert snap[0] == 0
+
+
+# ----------------------------------------------------------------------
+# clone and state keys (what the exhaustive explorers branch on)
+# ----------------------------------------------------------------------
+
+def _tso(size=4, procs=3):
+    return MemorySystem(size, procs, TotalStoreOrder())
+
+
+class TestClone:
+    def test_tso_clone_with_pending_writes_delivers_in_fifo_order(self):
+        m = _tso()
+        m.write_data(0, 1, 7, seq=0, taint=False)
+        m.write_data(0, 2, 8, seq=1, taint=False)
+        c = m.clone()
+        older, younger = c.pending_writes()
+        assert (older.seq, younger.seq) == (0, 1)
+        # the store-order guard survives the clone: the younger write
+        # must wait for the older one at each reader
+        assert not c.propagate(younger, 1)
+        assert c.propagate(older, 1)
+        assert c.propagate(younger, 1)
+        assert c.read_data(1, 1).value == 7
+        assert c.read_data(1, 2).value == 8
+        assert not c.read_data(1, 2).stale
+        # the original is untouched by deliveries from the clone
+        assert m.read_data(1, 1).value == 0
+        assert m.pending_count() == 2
+        assert all(pw.remaining == {1, 2} for pw in m.pending_writes())
+
+    def test_clone_is_independent_both_ways(self):
+        m = _weak()
+        m.write_data(0, 1, 7, seq=0, taint=True)
+        c = m.clone()
+        m.flush(0)
+        assert m.read_data(2, 1).value == 7
+        assert c.read_data(2, 1).value == 0
+        assert c.pending_count() == 1
+        c.write_data(1, 3, 5, seq=1, taint=False)
+        assert m.committed_value(3) == 0
+        assert c.flush_count == 0 and m.flush_count == 1
+
+    def test_clone_of_sc_memory_keeps_committing_everywhere(self):
+        m = _sc()
+        m.write_data(0, 1, 7, seq=0, taint=False)
+        c = m.clone()
+        c.write_data(1, 1, 9, seq=1, taint=False)
+        assert [c.view_value(p, 1) for p in range(3)] == [9, 9, 9]
+        assert [m.view_value(p, 1) for p in range(3)] == [7, 7, 7]
+
+    def test_state_key_tracks_behaviour_relevant_state(self):
+        m = _weak()
+        c = m.clone()
+        assert m.state_key() == c.state_key()
+        c.write_data(0, 1, 7, seq=0, taint=False)
+        assert m.state_key() != c.state_key()
+        twin = m.clone()
+        twin.write_data(0, 1, 7, seq=5, taint=False)  # seq is not state
+        assert twin.state_key() == c.state_key()
+        c.propagate(c.pending_writes()[0], 1)
+        assert twin.state_key() != c.state_key()
+
+    def test_sc_state_key_is_the_committed_values(self):
+        m = _sc(initial={2: 4})
+        assert m.state_key() == (0, 0, 4, 0)
+

@@ -195,3 +195,70 @@ def test_instruction_and_cycle_counters():
     assert stats.operations == 2
     assert stats.cycles >= stats.instructions
     assert stats.stall_cycles == 2 * SequentialConsistency().data_write_stall()
+
+
+def test_program_is_lowered_once_and_still_pickles():
+    import pickle
+
+    from repro.machine.processor import Processor, lower
+    from repro.programs import buggy_workqueue_program
+
+    program = buggy_workqueue_program()
+    thread = program.threads[1]
+    code = lower(thread)
+    assert lower(thread) is code
+    assert Processor(0, thread).code is code
+    run_program(program, make_model("WO"), seed=3)
+    assert lower(thread) is code  # a run reuses the cached code
+    copy = pickle.loads(pickle.dumps(program))
+    assert copy == program
+    assert len(lower(copy.threads[1])) == len(thread) + 1  # + fall-off
+
+
+def test_falling_off_the_end_takes_a_step_but_no_instruction():
+    from repro.machine.isa import Addr, Imm, Instruction, Opcode
+    from repro.machine.program import Program, SymbolTable, ThreadProgram
+
+    symbols = SymbolTable()
+    symbols.scalar("x")
+    thread = ThreadProgram(
+        (Instruction(Opcode.WRITE, src=(Imm(1),), addr=Addr(0)),), {}
+    )
+    res = run_program(Program((thread,), symbols), make_model("SC"))
+    assert res.steps == 2
+    assert res.stats[0].instructions == 1
+    assert res.completed
+
+
+def test_processor_clone_and_state_key():
+    from repro.machine.memory import MemorySystem
+    from repro.machine.processor import Processor, Recorder
+
+    b = ProgramBuilder()
+    x = b.var("x")
+    with b.thread() as t:
+        r = t.read(x)
+        t.add(r, 1, dst=r)
+        t.write(x, r)
+    thread = b.build().threads[0]
+    memory = MemorySystem(1, 1, SequentialConsistency(), initial={0: 4})
+    p = Processor(0, thread)
+    p.step(memory, Recorder())
+    q = p.clone()
+    assert q.state_key() == p.state_key()
+    q.step(memory, Recorder())
+    assert q.state_key() != p.state_key()
+    assert p.regs == {r.name: 4} and q.regs == {r.name: 5}
+    assert (p.pc, p.instructions_executed) == (1, 1)
+    assert (q.pc, q.instructions_executed) == (2, 2)
+    assert q.code is p.code
+
+
+def test_dangling_label_in_a_hand_built_thread_raises_when_lowered():
+    from repro.machine.isa import Instruction, Opcode
+    from repro.machine.processor import Processor
+    from repro.machine.program import SymbolError, ThreadProgram
+
+    thread = ThreadProgram((Instruction(Opcode.JMP, label="nowhere"),), {})
+    with pytest.raises(SymbolError, match="nowhere"):
+        Processor(0, thread)

@@ -1,10 +1,10 @@
 """Recording equivalence properties for the delivery-log recorder.
 
-`_RecordingPropagation` used to infer each step's voluntary deliveries
-by snapshotting and diffing every pending write's remaining-reader set
-around the inner policy step — O(pending x readers) per step and the
-hunt's single hottest function.  It now drains the memory system's
-O(deliveries) log instead.  The change is only safe if
+The recorder used to infer each step's voluntary deliveries by
+snapshotting and diffing every pending write's remaining-reader set
+around the policy step — O(pending x readers) per step and the hunt's
+single hottest function.  The simulator's recording loop now reads the
+memory system's O(deliveries) log instead.  That is only safe if
 
 * wrapping an execution in the recorder never perturbs it: a recorded
   run and a bare run with the same seed must produce identical
@@ -16,7 +16,8 @@ O(deliveries) log instead.  The change is only safe if
   the diff emitted (increasing pending seq, then sorted readers).
 
 The old diff-based recorder is reimplemented here verbatim as the
-reference implementation.
+reference implementation, with its own scheduler wrapper that appends
+every pick to the schedule.
 """
 
 import json
@@ -38,12 +39,11 @@ from repro.machine.propagation import (
 )
 from repro.machine.replay import (
     ExecutionRecording,
-    _RecordingScheduler,
     executions_equal,
     record_execution,
     replay_execution,
 )
-from repro.machine.scheduler import RandomScheduler
+from repro.machine.scheduler import RandomScheduler, Scheduler
 from repro.machine.simulator import Simulator, run_program
 from repro.programs import (
     buggy_workqueue_program,
@@ -53,6 +53,19 @@ from repro.programs import (
 )
 
 from tests.properties.test_prop_machine import random_racy_program
+
+
+class _RecordingScheduler(Scheduler):
+    """Wraps a scheduler; appends every pick to the schedule."""
+
+    def __init__(self, inner: Scheduler, recording: ExecutionRecording):
+        self.inner = inner
+        self.recording = recording
+
+    def pick(self, runnable, rng: random.Random) -> int:
+        pid = self.inner.pick(runnable, rng)
+        self.recording.schedule.append(pid)
+        return pid
 
 
 class _DiffRecordingPropagation(PropagationPolicy):
